@@ -252,7 +252,6 @@ def count_valid_nterm(n: int, with_assumptions: bool = True) -> int:
     existence = [Proposition(PropKind.I, t, t) for t in terms]
     slot_choices = list(product(PropKind, (False, True)))
     count = 0
-    seen = set()
     for combo in product(slot_choices, repeat=n - 1):
         premisses = []
         for i, (kind, swapped) in enumerate(combo):
@@ -262,10 +261,6 @@ def count_valid_nterm(n: int, with_assumptions: bool = True) -> int:
             premisses.append(Proposition(kind, subject, predicate))
         for conclusion_kind in PropKind:
             conclusion = Proposition(conclusion_kind, terms[0], terms[-1])
-            key = (frozenset(premisses), conclusion)
-            if key in seen:
-                continue
-            seen.add(key)
             ok = space.entails(premisses, conclusion)
             if not ok and with_assumptions:
                 ok = any(

@@ -15,7 +15,8 @@ underscores) and keep their case.  Reserved words cannot be terms, which
 keeps ``is not`` unambiguous.  Corpus files hold one syllogism per block,
 blocks separated by blank lines, with ``#`` comments ignored.
 
-Every parse error carries a byte-offset span into the input.
+Every parse error carries a span into the input, in character offsets
+(indices into the ``str``, not into its encoded bytes).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .inference import (
 
 @dataclass(frozen=True)
 class SourceSpan:
-    """Byte offsets of the offending slice of input."""
+    """Character offsets of the offending slice of input."""
 
     start: int
     end: int
@@ -325,7 +326,8 @@ def parse_corpus(text: str) -> list[tuple[Syllogism, SourceSpan]]:
 
     for start, end in blocks:
         block = text[start:end]
-        clean = re.sub(r"#[^\n]*", "", block)
+        # blank comments out in place so offsets into ``clean`` stay block offsets
+        clean = re.sub(r"#[^\n]*", lambda m: " " * len(m.group()), block)
         if not clean.strip():
             continue  # comment-only block
         if looks_compact(clean.strip()):

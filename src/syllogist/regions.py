@@ -8,8 +8,10 @@ universe is one of the models; no existential import is built in.
 
 This module never looks at chains or reductions.  It exists so that the
 chain calculus can be checked against plain set semantics by exhaustive
-enumeration, which is kept deliberately simple: every model is evaluated,
-with numpy sweeping the model space in bulk.
+enumeration, which is kept deliberately simple: every model is evaluated.
+A truth vector over the whole model space is a Python ``int`` whose bit m
+is the proposition's truth in model m (the truth table as a bitstring,
+Knuth, TAOCP 4A 7.1), so one ``|`` or ``&`` sweeps every model at once.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .chains import PropKind, Proposition, TermId
 from .inference import (
@@ -101,7 +101,8 @@ def eval_proposition(p: Proposition, model: RegionModel) -> bool:
 class ModelSpace:
     """Every inhabitation pattern over the atoms of a fixed term list.
 
-    Proposition truth is evaluated across the whole space at once and
+    Model m is the pattern whose inhabitation mask is m.  Proposition truth
+    is evaluated across the whole space at once, as a bit vector, and
     cached, so repeated entailment queries over the same terms are cheap.
     """
 
@@ -109,25 +110,26 @@ class ModelSpace:
         self.terms = tuple(terms)
         _check_terms(self.terms)
         n_atoms = 1 << len(self.terms)
-        self.masks = np.arange(1 << n_atoms, dtype=np.uint32)
-        self._truth: dict[Proposition, np.ndarray] = {}
+        self._size = 1 << n_atoms
+        self._all = (1 << self._size) - 1
+        self._atoms = [_atom_vector(a, self._size) for a in range(n_atoms)]
+        self._truth: dict[Proposition, int] = {}
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return self._size
 
     def model(self, mask: int) -> RegionModel:
         return RegionModel(self.terms, int(mask))
 
-    def truth(self, p: Proposition) -> np.ndarray:
-        """Boolean truth vector of ``p`` across all models."""
+    def truth(self, p: Proposition) -> int:
+        """Truth vector of ``p``: bit m is its truth in model m."""
         cached = self._truth.get(p)
         if cached is not None:
             return cached
-        bits = np.uint32(0)
+        hits = 0
         for atom in region_atoms(p, self.terms):
-            bits |= np.uint32(1 << atom)
-        hits = (self.masks & bits) != 0
-        result = hits if p.kind.particular else ~hits
+            hits |= self._atoms[atom]
+        result = hits if p.kind.particular else self._all ^ hits
         self._truth[p] = result
         return result
 
@@ -139,12 +141,27 @@ class ModelSpace:
     ) -> bool:
         """True when every model of the premisses and assumptions is a
         model of the conclusion."""
-        antecedent = np.ones(len(self.masks), dtype=bool)
+        antecedent = self._all
         for q in premisses:
             antecedent &= self.truth(q)
         for q in assumptions:
             antecedent &= self.truth(q)
-        return not bool(np.any(antecedent & ~self.truth(conclusion)))
+        return not antecedent & ~self.truth(conclusion)
+
+
+def _atom_vector(atom: int, size: int) -> int:
+    """Bit m set exactly when atom ``atom`` is inhabited in model m.
+
+    Bit ``atom`` of m runs in blocks of 2^atom zeros then 2^atom ones; the
+    first period is built directly and then doubled up to ``size`` bits.
+    """
+    half = 1 << atom
+    vector = ((1 << half) - 1) << half
+    width = half << 1
+    while width < size:
+        vector |= vector << width
+        width <<= 1
+    return vector
 
 
 @lru_cache(maxsize=None)

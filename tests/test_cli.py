@@ -1,9 +1,13 @@
 """Command line behaviour: exit codes, text, JSON, DOT, corpus batches."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import syllogist
 from syllogist.cli import main
 
 
@@ -229,3 +233,17 @@ def test_parse_json(capsys):
     assert data["figure"] == 4
     assert data["assumption"] == "P"
     assert data["block"].endswith("assuming some P")
+
+
+# --- start-up ---------------------------------------------------------------
+
+def test_cli_import_stays_light():
+    # every process pays its imports; numpy alone used to double start-up
+    package_root = os.path.dirname(os.path.dirname(syllogist.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", "import sys, syllogist.cli; assert 'numpy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+        timeout=60,
+    )

@@ -221,6 +221,22 @@ def test_parse_corpus_reports_spans_of_bad_blocks():
     assert text[exc.value.span.start : exc.value.span.end] == "B"
 
 
+def test_parse_corpus_span_after_a_leading_comment():
+    text = "AAA-1\n\n# lead comment\nAXA-2\n"
+    with pytest.raises(BadMoodLetter) as exc:
+        parse_corpus(text)
+    assert (exc.value.span.start, exc.value.span.end) == (text.index("X"), text.index("X") + 1)
+
+
+def test_spans_are_character_offsets():
+    text = "All M is P; All café is M; All S is P"
+    with pytest.raises(NotationError) as exc:
+        parse_syllogism_block(text)
+    # in UTF-8 bytes the slice would end at 21
+    assert (exc.value.span.start, exc.value.span.end) == (16, 20)
+    assert text[exc.value.span.start : exc.value.span.end] == "café"
+
+
 def test_parse_corpus_empty_and_comment_only():
     assert parse_corpus("") == []
     assert parse_corpus("# nothing here\n\n# still nothing\n") == []

@@ -134,8 +134,16 @@ def test_assumptions_are_monotone():
                     )
 
 
-def test_vectorized_sweep_agrees_with_per_model_loop():
-    # certify the bulk evaluator against the one-model evaluator
+def test_bitset_truth_agrees_with_per_model_loop():
+    # certify the bit-parallel evaluator against the one-model evaluator
+    space = space_for(SMP)
+    for kind in PropKind:
+        for subject, predicate in product(SMP, repeat=2):
+            p = prop(kind.value, subject, predicate)
+            vector = space.truth(p)
+            for mask in range(256):
+                assert bool((vector >> mask) & 1) == eval_proposition(p, RegionModel(SMP, mask))
+
     space = space_for(AB)
     kinds = list(PropKind)
     for k1, k2 in product(kinds, repeat=2):
