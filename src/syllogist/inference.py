@@ -3,9 +3,9 @@
 The single rewrite rule deletes an interior term node whose two incident
 arrows point the same way, merging them into one arrow; bullets and the
 two end nodes are never deleted, so every step preserves the bullet count
-and the endpoints.  Reduction terminates (the chain shrinks) and reaches
-the same normal form in every order; the test suite exercises that
-order-independence exhaustively rather than assuming it.
+and the endpoints.  No deletion changes whether another node is deletable,
+so every order reaches the same normal form (proof at ``normalize``); the
+test suite still checks that order-independence exhaustively.
 
 A syllogism is decided by building the premiss chain, running it to
 normal form, and comparing the result with the conclusion's own diagram,
@@ -60,6 +60,7 @@ _FIGURE_LAYOUT = {
     Figure.THREE: ((MIDDLE, MAJOR), (MIDDLE, MINOR)),
     Figure.FOUR: ((MAJOR, MIDDLE), (MIDDLE, MINOR)),
 }
+_FIGURE_OF_LAYOUT = {layout: figure for figure, layout in _FIGURE_LAYOUT.items()}
 
 
 @dataclass(frozen=True)
@@ -211,26 +212,35 @@ def reduce_at(chain: Chain, position: int) -> Chain:
 
 
 def normalize(chain: Chain) -> Trace:
-    """Reduce at the leftmost reducible position until none remains.
+    """Delete the initially reducible nodes, leftmost first, in one pass.
 
-    The strategy is immaterial for the result (all orders meet in the same
-    normal form) but makes traces deterministic.
+    Deleting a reducible node i merges arrows i-1 and i, which point the
+    same way, into one arrow with that direction, so no other node changes
+    reducibility.  Every order therefore deletes exactly the initially
+    reducible nodes, and the normal form is the chain without them.  The
+    k-th of them (k from 0, initially at p_k) has k deletions to its left,
+    so leftmost first it sits at index p_k - k.
     """
     steps = []
     current = chain
-    while True:
-        positions = reducible_positions(current)
-        if not positions:
-            return Trace(chain, tuple(steps), current)
-        i = positions[0]
-        after = reduce_at(current, i)
-        steps.append(ReductionStep(i, current.nodes[i], current, after))
+    for k, p in enumerate(reducible_positions(chain)):
+        after = reduce_at(current, p - k)
+        steps.append(ReductionStep(p - k, chain.nodes[p], current, after))
         current = after
+    return Trace(chain, tuple(steps), current)
 
 
 def match_conclusion(chain: Chain, conclusion: Proposition) -> bool:
     """Exact match against the conclusion's diagram, node for node."""
     return chain == diagram(conclusion)
+
+
+def figure_of(first: tuple[TermId, TermId], second: tuple[TermId, TermId]) -> Figure:
+    """The figure of premisses with these (subject, predicate) roles.
+
+    The inverse of ``premisses_of``; roles are ``MINOR``, ``MIDDLE`` and ``MAJOR``.
+    """
+    return _FIGURE_OF_LAYOUT[first, second]
 
 
 def premisses_of(s: Syllogism) -> tuple[Proposition, Proposition]:

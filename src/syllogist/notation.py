@@ -26,11 +26,15 @@ from dataclasses import dataclass
 
 from .chains import PropKind, Proposition
 from .inference import (
+    MAJOR,
+    MIDDLE,
+    MINOR,
     Assumption,
     Figure,
     Mood,
     Syllogism,
     conclusion_of,
+    figure_of,
     premisses_of,
 )
 
@@ -77,6 +81,8 @@ _COMPACT_RE = re.compile(
     r"\s*([A-Za-z]{3})\s*-\s*([0-9]+)(?:\s*\+\s*([A-Za-z]+))?\s*$"
 )
 _ASSUMING_RE = re.compile(r"\s*assuming\s+some\s+(\S+)\s*$", re.IGNORECASE)
+# group 1 is a segment; a '#' comment runs to the end of its line
+_SEGMENT_RE = re.compile(r"([^;\n#]+)|#[^\n]*")
 
 
 def looks_compact(text: str) -> bool:
@@ -187,24 +193,11 @@ def render_proposition(p: Proposition) -> str:
 
 def _segments(text: str) -> list[tuple[str, int]]:
     """Split on ';' and newlines, dropping '#' comments, keeping offsets."""
-    segments = []
-    start = 0
-    i = 0
-    n = len(text)
-    while i <= n:
-        ch = text[i] if i < n else ";"
-        if ch == "#":
-            if text[start:i].strip():
-                segments.append((text[start:i], start))
-            while i < n and text[i] != "\n":
-                i += 1
-            start = i + 1
-        elif ch in ";\n":
-            if text[start:i].strip():
-                segments.append((text[start:i], start))
-            start = i + 1
-        i += 1
-    return segments
+    return [
+        (m[1], m.start())
+        for m in _SEGMENT_RE.finditer(text)
+        if m[1] is not None and m[1].strip()
+    ]
 
 
 def parse_syllogism_block(text: str, offset: int = 0) -> Syllogism:
@@ -265,26 +258,20 @@ def parse_syllogism_block(text: str, offset: int = 0) -> Syllogism:
             SourceSpan(offset + o2, offset + o2 + len(t2)),
         )
 
-    first_mp = first.subject == middle
-    second_sm = second.subject == subject
-    if first_mp and second_sm:
-        figure = Figure.ONE
-    elif second_sm:
-        figure = Figure.TWO
-    elif first_mp:
-        figure = Figure.THREE
-    else:
-        figure = Figure.FOUR
+    role = {subject: MINOR, middle: MIDDLE, predicate: MAJOR}
+    figure = figure_of(
+        (role[first.subject], role[first.predicate]),
+        (role[second.subject], role[second.predicate]),
+    )
 
     assumption = Assumption.NONE
     if assumed_name is not None:
-        by_name = {subject: Assumption.SOME_S, middle: Assumption.SOME_M, predicate: Assumption.SOME_P}
-        if assumed_name not in by_name:
+        if assumed_name not in role:
             raise NotASyllogism(
                 f"the assumption must name one of the three terms, got {assumed_name!r}",
                 assumed_span,
             )
-        assumption = by_name[assumed_name]
+        assumption = Assumption(role[assumed_name])
 
     return Syllogism(Mood(first.kind, second.kind, conclusion.kind), figure, assumption)
 

@@ -151,6 +151,9 @@ def test_normalize_invariants(c):
     assert trace.normal_form.bullet_count == c.bullet_count
     assert len(trace.steps) <= max(len(c.nodes) - 2, 0)
     assert reducible_positions(trace.normal_form) == []
+    # each step deletes the leftmost reducible node of its own chain
+    for step in trace.steps:
+        assert step.position == reducible_positions(step.before)[0]
 
 
 @given(chains())

@@ -1,6 +1,9 @@
 """Compact and block notation: parsing, rendering, round trips, spans."""
 
+import re
+
 import pytest
+from hypothesis import given, strategies as st
 
 from syllogist import (
     AmbiguousTerms,
@@ -179,16 +182,35 @@ def test_block_with_unknown_assumption_term():
         parse_syllogism_block("All M is P; All S is M; All S is P; assuming some Q")
 
 
+def renamed(text):
+    """Block text with the term names permuted S->P, M->S, P->M; roles stay put."""
+    return re.sub(r"\b[SMP]\b", lambda m: {"S": "P", "M": "S", "P": "M"}[m[0]], text)
+
+
 def test_block_round_trip_all_256_bare():
     for s in every_syllogism():
         if s.assumption is Assumption.NONE:
             assert parse_syllogism_block(render_block(s)) == s
+            assert parse_syllogism_block(renamed(render_block(s))) == s
 
 
 def test_block_round_trip_with_assumptions():
     for s in every_syllogism():
         if s.assumption is not Assumption.NONE:
             assert parse_syllogism_block(render_block(s)) == s
+            assert parse_syllogism_block(renamed(render_block(s))) == s
+
+
+def test_semicolon_inside_a_comment_does_not_split():
+    assert parse_syllogism_block("All M is P # a; b\nAll S is M\nAll S is P") == syl("AAA-1")
+
+
+def test_premiss_span_ends_at_its_comment():
+    text = "All S is M  # note; x\nAll M is P\nAll S is P"
+    with pytest.raises(NotASyllogism) as exc:
+        parse_syllogism_block(text)
+    assert (exc.value.span.start, exc.value.span.end) == (0, 12)
+    assert text[exc.value.span.start : exc.value.span.end] == "All S is M  "
 
 
 def test_parse_any_routes_by_shape():
@@ -240,3 +262,22 @@ def test_spans_are_character_offsets():
 def test_parse_corpus_empty_and_comment_only():
     assert parse_corpus("") == []
     assert parse_corpus("# nothing here\n\n# still nothing\n") == []
+
+
+# --- fuzzing ----------------------------------------------------------------
+
+_FUZZ_TOKENS = [
+    "All", "No", "Some", "is", "not", "assuming some", "AAA-1", "EIO-2", "AXA-7",
+    "+M", "+Q", "S", "M", "P", "X", ";", "#", "\n", "\r", "\x0c", " ", "-",
+    "0", "3", "é",
+]
+
+
+@given(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=30).map("".join))
+def test_parsers_raise_only_notation_errors_with_spans_inside_the_input(text):
+    for parse in (parse_any, parse_corpus):
+        try:
+            parse(text)
+        except NotationError as exc:
+            assert exc.span is not None
+            assert 0 <= exc.span.start <= exc.span.end <= len(text)
