@@ -223,7 +223,7 @@ def mutually_excluded(chain: Chain, x: TermId, y: TermId) -> bool:
         raise TermNotInChain(f"term {y!r} has no occurrence in {chain} apart from {x!r}")
     py = ys[0]
     lo, hi = min(px, py), max(px, py)
-    between = Chain(chain.nodes[lo : hi + 1], chain.arrows[lo:hi])
+    between = Chain._of(chain.nodes[lo : hi + 1], chain.arrows[lo:hi])
     return _blocked_pair(normalize(between).normal_form)
 
 

@@ -15,6 +15,12 @@ existence diagram ``t <- * -> t`` over any occurrence of the term ``t``.
 
 All values are immutable; every operation returns a new chain, so values
 can be shared freely across threads.
+
+Values are checked where they enter: the public ``Chain`` constructor,
+``chain_from_text`` and ``Proposition`` validate every term name and the
+arrow count.  Derived chains (diagrams, duals, concatenations, splices and
+reduction steps) are assembled from parts of values that were already
+checked, so they skip that validation.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ def is_term(node: object) -> bool:
 def _check_term(name: object) -> None:
     if not isinstance(name, str) or not name:
         raise ChainError(f"term identifiers are non-empty strings, got {name!r}")
-    if any(c.isspace() for c in name) or name in ("*", "->", "<-"):
+    if name.split() != [name] or name in ("*", "->", "<-"):
         # must survive the whitespace-separated text rendering
         raise ChainError(f"term identifier {name!r} clashes with chain notation")
 
@@ -158,6 +164,20 @@ class Chain:
             if not isinstance(arrow, Arrow):
                 raise ChainError(f"not an arrow: {arrow!r}")
 
+    @classmethod
+    def _of(cls, nodes: tuple[Node, ...], arrows: tuple[Arrow, ...]) -> "Chain":
+        """Build a chain from parts already checked, skipping ``__post_init__``.
+
+        Callers pass only tuples made by slicing, reversing, joining or
+        inserting into the nodes and arrows of checked chains or the terms
+        of checked ``Proposition``s, plus ``BULLET`` and ``Arrow`` members,
+        and they keep the arrow count at ``len(nodes) - 1``.
+        """
+        chain = object.__new__(cls)
+        object.__setattr__(chain, "nodes", nodes)
+        object.__setattr__(chain, "arrows", arrows)
+        return chain
+
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -186,8 +206,8 @@ class Chain:
 
     def dual(self) -> "Chain":
         """The mirror image: reversed node order with every arrow flipped."""
-        return Chain(
-            tuple(reversed(self.nodes)),
+        return Chain._of(
+            self.nodes[::-1],
             tuple(a.flipped for a in reversed(self.arrows)),
         )
 
@@ -197,12 +217,12 @@ def diagram(p: Proposition) -> Chain:
     left, right = p.subject, p.predicate
     r, l = Arrow.RIGHT, Arrow.LEFT
     if p.kind is PropKind.A:
-        return Chain((left, right), (r,))
+        return Chain._of((left, right), (r,))
     if p.kind is PropKind.E:
-        return Chain((left, BULLET, right), (r, l))
+        return Chain._of((left, BULLET, right), (r, l))
     if p.kind is PropKind.I:
-        return Chain((left, BULLET, right), (l, r))
-    return Chain((left, BULLET, BULLET, right), (l, r, l))
+        return Chain._of((left, BULLET, right), (l, r))
+    return Chain._of((left, BULLET, BULLET, right), (l, r, l))
 
 
 def concat(left: Chain, right: Chain) -> Chain:
@@ -217,7 +237,7 @@ def concat(left: Chain, right: Chain) -> Chain:
         raise JunctionMismatch(
             f"cannot join {left.right!r} on the left to {right.left!r} on the right"
         )
-    return Chain(left.nodes + right.nodes[1:], left.arrows + right.arrows)
+    return Chain._of(left.nodes + right.nodes[1:], left.arrows + right.arrows)
 
 
 def join_premisses(first: Chain, second: Chain) -> Chain:
@@ -241,9 +261,11 @@ def splice_existence(chain: Chain, term: TermId, occurrence: int = 0) -> Chain:
             f"occurrence {occurrence} of term {term!r} not found in {chain}"
         )
     i = spots[occurrence]
-    nodes = chain.nodes[:i] + (term, BULLET, term) + chain.nodes[i + 1 :]
+    # the chain's own node, not the caller's ``term``, so nothing unchecked gets in
+    node = chain.nodes[i]
+    nodes = chain.nodes[:i] + (node, BULLET, node) + chain.nodes[i + 1 :]
     arrows = chain.arrows[:i] + (Arrow.LEFT, Arrow.RIGHT) + chain.arrows[i:]
-    return Chain(nodes, arrows)
+    return Chain._of(nodes, arrows)
 
 
 def chain_from_text(text: str) -> Chain:

@@ -56,12 +56,12 @@ def _display_trace(s: Syllogism, verdict: Verdict) -> Trace:
     return verdict.trace if verdict.trace is not None else normalize(premiss_chain(s))
 
 
-def _check_json(label: str, verdict: Verdict) -> dict:
+def _check_json(label: str, verdict: Verdict, trace: Trace | None) -> dict:
     return {
         "input": label,
         "verdict": verdict.validity.value,
         "assumption": verdict.assumption.term,
-        "trace": verdict.trace.as_dict() if verdict.trace is not None else None,
+        "trace": trace.as_dict() if trace is not None else None,
     }
 
 
@@ -100,7 +100,7 @@ def cmd_check(args) -> int:
             status = 1
         reports.append((label, s, verdict))
     if args.format == "json":
-        payload = [_check_json(label, v) for label, _s, v in reports]
+        payload = [_check_json(label, v, v.trace) for label, _s, v in reports]
         print(json.dumps(payload if args.corpus else payload[0], indent=2))
     elif args.format == "dot":
         for label, s, v in reports:
@@ -121,9 +121,7 @@ def cmd_trace(args) -> int:
             status = 1
         trace = _display_trace(s, verdict)
         if args.format == "json":
-            entry = _check_json(label, verdict)
-            entry["trace"] = trace.as_dict()
-            payload.append(entry)
+            payload.append(_check_json(label, verdict, trace))
         elif args.format == "dot":
             print(trace_dot(trace, f"{label}: {_verdict_phrase(verdict)}"))
         else:

@@ -193,22 +193,24 @@ class Verdict:
         return self.validity.value
 
 
+def _reducible(chain: Chain, i: int) -> bool:
+    """Whether node i is an interior term whose two arrows point the same way."""
+    nodes, arrows = chain.nodes, chain.arrows
+    return 0 < i < len(nodes) - 1 and is_term(nodes[i]) and arrows[i - 1] is arrows[i]
+
+
 def reducible_positions(chain: Chain) -> list[int]:
     """Interior term nodes whose two incident arrows point the same way."""
-    return [
-        i
-        for i in range(1, len(chain.nodes) - 1)
-        if is_term(chain.nodes[i]) and chain.arrows[i - 1] is chain.arrows[i]
-    ]
+    return [i for i in range(1, len(chain.nodes) - 1) if _reducible(chain, i)]
 
 
 def reduce_at(chain: Chain, position: int) -> Chain:
     """Delete the term node at ``position``, merging its two arrows."""
-    if position not in reducible_positions(chain):
+    if not _reducible(chain, position):
         raise NotReducible(f"node {position} of {chain} is not reducible")
     nodes = chain.nodes[:position] + chain.nodes[position + 1 :]
     arrows = chain.arrows[:position] + chain.arrows[position + 1 :]
-    return Chain(nodes, arrows)
+    return Chain._of(nodes, arrows)
 
 
 def normalize(chain: Chain) -> Trace:

@@ -1,5 +1,7 @@
 """Chain construction, dualization, concatenation, splicing."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,9 @@ from syllogist import (
     concat,
     diagram,
     join_premisses,
+    normalize,
+    reduce_at,
+    reducible_positions,
     splice_existence,
 )
 
@@ -243,3 +248,41 @@ def test_bullet_is_never_a_term():
 def test_proposition_rejects_bad_terms():
     with pytest.raises(ChainError):
         Proposition(PropKind.A, "", "B")
+
+
+def test_whitespace_anywhere_in_a_term_is_rejected():
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    for c in spaces:
+        for name in (f"a{c}b", f"{c}a", f"a{c}"):
+            with pytest.raises(ChainError, match="clashes with chain notation"):
+                Proposition(PropKind.A, name, "B")
+            with pytest.raises(ChainError, match="clashes with chain notation"):
+                Chain((name,), ())
+
+
+# --- derived chains skip validation -----------------------------------------
+
+def assert_as_if_validated(out):
+    """A derived chain is exactly what the validating constructor builds."""
+    assert type(out.nodes) is tuple and type(out.arrows) is tuple
+    rebuilt = Chain(out.nodes, out.arrows)
+    assert rebuilt == out
+    assert hash(rebuilt) == hash(out)
+
+
+@given(chains(), chains(max_nodes=5))
+def test_derived_chains_pass_full_validation(c, other):
+    assert_as_if_validated(c.dual())
+    assert_as_if_validated(concat(c, Chain((c.right,) + other.nodes[1:], other.arrows)))
+    for term in {node for node in c.nodes if node != BULLET}:
+        for k in range(len(c.occurrences(term))):
+            assert_as_if_validated(splice_existence(c, term, k))
+    for i in reducible_positions(c):
+        assert_as_if_validated(reduce_at(c, i))
+    for step in normalize(c).steps:
+        assert_as_if_validated(step.after)
+
+
+@given(st.sampled_from(list(PropKind)), terms, terms)
+def test_diagrams_pass_full_validation(kind, subject, predicate):
+    assert_as_if_validated(diagram(Proposition(kind, subject, predicate)))

@@ -100,10 +100,13 @@ def test_reduce_preserves_bullets():
 
 
 def test_reduce_rejects_bad_positions():
-    c = ch("S -> * <- M -> P")
-    for i in (0, 1, 2, 3):
-        with pytest.raises(NotReducible):
-            reduce_at(c, i)
+    # in "S -> A -> B -> P" every interior node is reducible, so a negative
+    # index let through would delete a node counted from the far end
+    for c, inside in ((ch("S -> * <- M -> P"), (1, 2)), (ch("S -> A -> B -> P"), ())):
+        n = len(c)
+        for i in (0, *inside, -1, -n, n - 1, n, n + 3, -2, -3):
+            with pytest.raises(NotReducible):
+                reduce_at(c, i)
 
 
 # --- normalization ----------------------------------------------------------
