@@ -89,14 +89,6 @@ def enumerate_all(assumptions: tuple[Assumption, ...] = tuple(Assumption)) -> li
 # ---------------------------------------------------------------------------
 # The five classical rules of syllogism
 
-RULES = {
-    1: "two negative premisses",
-    2: "two particular premisses",
-    3: "particular first premiss with negative second premiss",
-    4: "particular premiss without a particular conclusion",
-    5: "negative conclusion not paired with a negative premiss",
-}
-
 
 def check_rules(s: Syllogism) -> list[int]:
     """Numbers of the rules the syllogism breaks.

@@ -65,6 +65,15 @@ def _check_json(label: str, verdict: Verdict, trace: Trace | None) -> dict:
     }
 
 
+def _print_json(args, payload: list) -> None:
+    # a corpus prints a list, a single input its one object
+    print(json.dumps(payload if args.corpus else payload[0], indent=2))
+
+
+def _print_dot(label: str, s: Syllogism, verdict: Verdict) -> None:
+    print(trace_dot(_display_trace(s, verdict), f"{label}: {_verdict_phrase(verdict)}"))
+
+
 def _dot_chain_lines(tag: str, title: str, chain) -> list[str]:
     lines = [f"  subgraph cluster_{tag} {{", f'    label="{title}";']
     for i, node in enumerate(chain.nodes):
@@ -91,39 +100,31 @@ def trace_dot(trace: Trace, label: str) -> str:
 
 
 def cmd_check(args) -> int:
-    items = _load_inputs(args)
-    status = 0
-    reports = []
-    for label, s in items:
-        verdict = decide(s)
-        if not verdict.is_valid:
-            status = 1
-        reports.append((label, s, verdict))
+    reports = [(label, s, decide(s)) for label, s in _load_inputs(args)]
     if args.format == "json":
-        payload = [_check_json(label, v, v.trace) for label, _s, v in reports]
-        print(json.dumps(payload if args.corpus else payload[0], indent=2))
+        _print_json(args, [_check_json(label, v, v.trace) for label, _s, v in reports])
     elif args.format == "dot":
-        for label, s, v in reports:
-            print(trace_dot(_display_trace(s, v), f"{label}: {_verdict_phrase(v)}"))
+        for report in reports:
+            _print_dot(*report)
     else:
         for label, _s, v in reports:
             print(f"{label}: {_verdict_phrase(v)}")
-    return status
+    return 0 if all(v.is_valid for _label, _s, v in reports) else 1
 
 
 def cmd_trace(args) -> int:
-    items = _load_inputs(args)
     status = 0
     payload = []
-    for label, s in items:
+    for label, s in _load_inputs(args):
         verdict = decide(s)
         if not verdict.is_valid:
             status = 1
+        if args.format == "dot":
+            _print_dot(label, s, verdict)
+            continue
         trace = _display_trace(s, verdict)
         if args.format == "json":
             payload.append(_check_json(label, verdict, trace))
-        elif args.format == "dot":
-            print(trace_dot(trace, f"{label}: {_verdict_phrase(verdict)}"))
         else:
             print(f"{label}")
             if verdict.validity is Validity.VALID_WITH_ASSUMPTION:
@@ -134,25 +135,18 @@ def cmd_trace(args) -> int:
             print(f"normal form: {trace.normal_form}")
             print(f"verdict: {_verdict_phrase(verdict)}")
     if args.format == "json":
-        print(json.dumps(payload if args.corpus else payload[0], indent=2))
+        _print_json(args, payload)
     return status
 
 
-def _conditional_table(rows) -> list[tuple[dict[Figure, list[str]], str]]:
-    """Conditionally valid moods grouped by assumption, per figure."""
-    groups = []
-    for assumption in (Assumption.SOME_S, Assumption.SOME_M, Assumption.SOME_P):
-        per_figure: dict[Figure, list[str]] = {f: [] for f in Figure}
-        for row in rows:
-            s = row.syllogism
-            if (
-                s.assumption is assumption
-                and row.calculus.validity is Validity.VALID_WITH_ASSUMPTION
-            ):
-                per_figure[s.figure].append(str(s.mood))
-        if any(per_figure.values()):
-            groups.append((per_figure, assumption.phrase))
-    return groups
+def _by_figure(rows, assumption: Assumption, validity: Validity) -> dict[Figure, list[str]]:
+    """Moods of the rows with this assumption and calculus verdict, per figure."""
+    per_figure: dict[Figure, list[str]] = {f: [] for f in Figure}
+    for row in rows:
+        s = row.syllogism
+        if s.assumption is assumption and row.calculus.validity is validity:
+            per_figure[s.figure].append(str(s.mood))
+    return per_figure
 
 
 def cmd_tables(args) -> int:
@@ -172,13 +166,8 @@ def cmd_tables(args) -> int:
         print(json.dumps(payload, indent=2))
         return 0
 
-    bare = [r for r in rows if r.syllogism.assumption is Assumption.NONE]
-    valid_by_figure: dict[Figure, list[str]] = {f: [] for f in Figure}
-    for row in bare:
-        if row.calculus.validity is Validity.VALID:
-            valid_by_figure[row.syllogism.figure].append(str(row.syllogism.mood))
-
     def columns(per_figure: dict[Figure, list[str]], extra: str = "") -> list[str]:
+        # an empty table has height 0 and prints nothing
         height = max(len(v) for v in per_figure.values())
         out = []
         for i in range(height):
@@ -192,13 +181,14 @@ def cmd_tables(args) -> int:
     header = "".join(f"fig. {f.value}".ljust(8) for f in Figure)
     print("valid syllogisms")
     print(header.rstrip())
-    for line in columns(valid_by_figure):
+    for line in columns(_by_figure(rows, Assumption.NONE, Validity.VALID)):
         print(line)
     print()
     print("valid under an assumption of existence")
     print(header + "assumption")
-    for per_figure, phrase in _conditional_table(rows):
-        for line in columns(per_figure, phrase):
+    for assumption in (Assumption.SOME_S, Assumption.SOME_M, Assumption.SOME_P):
+        valid = _by_figure(rows, assumption, Validity.VALID_WITH_ASSUMPTION)
+        for line in columns(valid, assumption.phrase):
             print(line)
     print()
     agreements = sum(1 for r in rows if r.agree)
@@ -263,7 +253,7 @@ def cmd_parse(args) -> int:
             }
             for label, s in items
         ]
-        print(json.dumps(payload if args.corpus else payload[0], indent=2))
+        _print_json(args, payload)
     else:
         for _label, s in items:
             print(f"{s} = {render_block(s)}")

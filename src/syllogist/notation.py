@@ -4,8 +4,8 @@ Two surface forms are supported:
 
 * compact: ``MOOD-FIGURE`` with an optional ``+S``/``+M``/``+P`` existence
   assumption, for example ``EIO-2`` or ``EAO-4 +M``;
-* block: three English propositions separated by ``;`` or newlines, with
-  an optional trailing ``assuming some X`` clause, for example
+* block: three English propositions separated by ``;`` or line breaks,
+  with an optional trailing ``assuming some X`` clause, for example
   ``All M is P; All S is M; All S is P``.
 
 Propositions use exactly the four templates ``All X is Y``, ``No X is Y``,
@@ -13,7 +13,11 @@ Propositions use exactly the four templates ``All X is Y``, ``No X is Y``,
 term tokens are identifiers (letter first, then letters, digits or
 underscores) and keep their case.  Reserved words cannot be terms, which
 keeps ``is not`` unambiguous.  Corpus files hold one syllogism per block,
-blocks separated by blank lines, with ``#`` comments ignored.
+blocks separated by blank lines.
+
+A ``#`` comment is ignored in every notation and runs to the end of its
+line.  A line ends at any break that ``str.splitlines`` recognises, so
+comments, block segments and corpus blocks all end at the same places.
 
 Every parse error carries a span into the input, in character offsets
 (indices into the ``str``, not into its encoded bytes).
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 
 from .chains import PropKind, Proposition
 from .inference import (
@@ -81,8 +86,11 @@ _COMPACT_RE = re.compile(
     r"\s*([A-Za-z]{3})\s*-\s*([0-9]+)(?:\s*\+\s*([A-Za-z]+))?\s*$"
 )
 _ASSUMING_RE = re.compile(r"\s*assuming\s+some\s+(\S+)\s*$", re.IGNORECASE)
-# group 1 is a segment; a '#' comment runs to the end of its line
-_SEGMENT_RE = re.compile(r"([^;\n#]+)|#[^\n]*")
+# the line breaks of str.splitlines, so a comment ends where a corpus line does
+_EOL = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_COMMENT_RE = re.compile(f"#[^{_EOL}]*")
+# group 1 is a segment; segments end at ';', a line break or a comment
+_SEGMENT_RE = re.compile(f"([^;#{_EOL}]+)|{_COMMENT_RE.pattern}")
 
 
 def looks_compact(text: str) -> bool:
@@ -192,7 +200,7 @@ def render_proposition(p: Proposition) -> str:
 
 
 def _segments(text: str) -> list[tuple[str, int]]:
-    """Split on ';' and newlines, dropping '#' comments, keeping offsets."""
+    """Split on ';' and line breaks, dropping '#' comments, keeping offsets."""
     return [
         (m[1], m.start())
         for m in _SEGMENT_RE.finditer(text)
@@ -287,39 +295,27 @@ def render_block(s: Syllogism) -> str:
 
 
 def parse_any(text: str, offset: int = 0) -> Syllogism:
-    """Parse either notation, routed on the input's shape."""
-    if looks_compact(text):
-        return parse_compact(text, offset)
+    """Parse either notation, routed on the input's shape; '#' comments are ignored."""
+    # blank comments out in place so offsets into ``clean`` stay offsets into ``text``
+    clean = _COMMENT_RE.sub(lambda m: " " * len(m[0]), text)
+    if looks_compact(clean):
+        return parse_compact(clean, offset)
     return parse_syllogism_block(text, offset)
 
 
 def parse_corpus(text: str) -> list[tuple[Syllogism, SourceSpan]]:
-    """Parse a corpus file: one syllogism per blank-line-separated block."""
-    results = []
-    block_start = None
-    pos = 0
-    blocks = []
-    for line in text.splitlines(keepends=True):
-        if line.strip():
-            if block_start is None:
-                block_start = pos
-        else:
-            if block_start is not None:
-                blocks.append((block_start, pos))
-                block_start = None
-        pos += len(line)
-    if block_start is not None:
-        blocks.append((block_start, len(text)))
+    """Parse a corpus file: one syllogism per blank-line-separated block.
 
-    for start, end in blocks:
-        block = text[start:end]
-        # blank comments out in place so offsets into ``clean`` stay block offsets
-        clean = re.sub(r"#[^\n]*", lambda m: " " * len(m.group()), block)
-        if not clean.strip():
-            continue  # comment-only block
-        if looks_compact(clean.strip()):
-            s = parse_compact(clean, start)
-        else:
-            s = parse_syllogism_block(block, start)
-        results.append((s, SourceSpan(start, end)))
+    Blocks that hold only comments are skipped; every other block goes
+    through ``parse_any``.
+    """
+    results = []
+    start = 0
+    for blank, group in groupby(text.splitlines(keepends=True), key=str.isspace):
+        lines = list(group)
+        block = "".join(lines)
+        end = start + len(block)
+        if not blank and not all(line.lstrip().startswith("#") for line in lines):
+            results.append((parse_any(block, start), SourceSpan(start, end)))
+        start = end
     return results

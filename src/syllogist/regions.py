@@ -118,9 +118,6 @@ class ModelSpace:
     def __len__(self) -> int:
         return self._size
 
-    def model(self, mask: int) -> RegionModel:
-        return RegionModel(self.terms, int(mask))
-
     def truth(self, p: Proposition) -> int:
         """Truth vector of ``p``: bit m is its truth in model m."""
         cached = self._truth.get(p)

@@ -126,6 +126,13 @@ def test_trace_dot(capsys):
     assert "i2 -> i1;" in out  # leftward arrow renders as a reversed edge
 
 
+@pytest.mark.parametrize("notation", ["AEE-2", "OEI-4", "AAI-3 +M"])
+def test_check_dot_matches_trace_dot(capsys, notation):
+    assert run(capsys, "check", "--format", "dot", notation) == run(
+        capsys, "trace", "--format", "dot", notation
+    )
+
+
 # --- tables, laws, count ----------------------------------------------------
 
 def test_tables_text(capsys):

@@ -1,6 +1,7 @@
 """Compact and block notation: parsing, rendering, round trips, spans."""
 
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -218,6 +219,17 @@ def test_parse_any_routes_by_shape():
     assert parse_any("All M is P; All S is M; All S is P") == syl("AAA-1")
 
 
+def test_parse_any_splits_a_block_at_any_line_break():
+    assert parse_any("All M is P\rAll S is M\rAll S is P") == syl("AAA-1")
+
+
+def test_parse_any_ignores_comments():
+    assert parse_any("AAA-1  # note") == syl("AAA-1")
+    with pytest.raises(BadMoodLetter) as exc:
+        parse_any("AXA-1 # c")
+    assert (exc.value.span.start, exc.value.span.end) == (1, 2)
+
+
 # --- corpus -----------------------------------------------------------------
 
 def test_parse_corpus_blocks_and_comments():
@@ -262,6 +274,48 @@ def test_spans_are_character_offsets():
 def test_parse_corpus_empty_and_comment_only():
     assert parse_corpus("") == []
     assert parse_corpus("# nothing here\n\n# still nothing\n") == []
+
+
+@pytest.mark.parametrize("eol", ["\r", "\u2028"])
+def test_parse_corpus_comment_ends_at_any_line_break(eol):
+    parsed = parse_corpus(f"# note{eol}AAA-1\n\nEAE-1\n")
+    assert [(str(s), span.start, span.end) for s, span in parsed] == [
+        ("AAA-1", 0, 13),
+        ("EAE-1", 14, 20),
+    ]
+
+
+def test_parse_corpus_keeps_the_line_after_a_comment():
+    # the block holds two lines, so it is not a syllogism; EIO-1 must not vanish
+    with pytest.raises(NotASyllogism):
+        parse_corpus("AAA-1 # c\x0cEIO-1\n\nEAE-1\n")
+
+
+# every line break str.splitlines knows, found by asking it, not from the parser
+_LINE_BREAKS = ["\r\n"] + [
+    c for c in map(chr, range(sys.maxunicode + 1)) if len(f"a{c}b".splitlines()) == 2
+]
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(list(every_syllogism())), st.booleans(), st.booleans()),
+        max_size=6,
+    ),
+    st.data(),
+)
+def test_parse_corpus_loses_no_block(entries, data):
+    def eol():
+        return data.draw(st.sampled_from(_LINE_BREAKS))
+
+    blocks = []
+    for s, compact, commented in entries:
+        lines = [render_compact(s)] if compact else render_block(s).split("; ")
+        if commented:
+            lines.insert(0, "# note")
+        blocks.append(lines[0] + "".join(eol() + line for line in lines[1:]))
+    text = (eol() * 2).join(blocks)
+    assert [s for s, _span in parse_corpus(text)] == [s for s, _c, _m in entries]
 
 
 # --- fuzzing ----------------------------------------------------------------
