@@ -4,8 +4,13 @@ Subcommands: ``check``, ``trace``, ``tables``, ``laws``, ``count`` and
 ``parse``.  Output is plain text by default; ``--format json`` emits
 machine-readable objects with stable keys, and ``--format dot`` renders a
 reduction as a two-row directed graph.  Exit codes: 0 when everything
-checked out valid, 1 when some syllogism is invalid, 2 on parse or usage
-errors.
+checked out valid, 1 when some syllogism is invalid or a count misses
+3n^2-n, 2 on parse or usage errors.
+
+``--corpus FILE`` reads the file as UTF-8 with its line breaks as written,
+so error spans are character offsets into the file, each CRLF counting as
+two characters.  A run decides each distinct syllogism once (there are
+1024), however often a corpus repeats it, and prints one result per block.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
+from collections.abc import Iterator
 
 from .catalog import (
     UnsupportedN,
@@ -38,11 +43,25 @@ from .notation import NotationError, parse_any, parse_corpus, render_block
 
 def _load_inputs(args) -> list[tuple[str, Syllogism]]:
     if args.corpus:
-        text = Path(args.corpus).read_text()
+        # newline="" keeps '\r\n' as written, so spans are offsets into the file
+        with open(args.corpus, encoding="utf-8", newline="") as f:
+            text = f.read()
         return [(str(s), s) for s, _span in parse_corpus(text)]
     if args.notation is None:
         raise NotationError("nothing to parse: give a syllogism or --corpus FILE")
     return [(args.notation, parse_any(args.notation))]
+
+
+def _decided(
+    inputs: list[tuple[str, Syllogism]],
+) -> Iterator[tuple[str, Syllogism, Verdict]]:
+    """Each input with its verdict, deciding each distinct syllogism once per run."""
+    verdicts: dict[Syllogism, Verdict] = {}
+    for label, s in inputs:
+        verdict = verdicts.get(s)
+        if verdict is None:
+            verdict = verdicts[s] = decide(s)
+        yield label, s, verdict
 
 
 def _verdict_phrase(verdict: Verdict) -> str:
@@ -56,22 +75,18 @@ def _display_trace(s: Syllogism, verdict: Verdict) -> Trace:
     return verdict.trace if verdict.trace is not None else normalize(premiss_chain(s))
 
 
-def _check_json(label: str, verdict: Verdict, trace: Trace | None) -> dict:
+def _check_json(label: str, verdict: Verdict, trace: dict | None) -> dict:
     return {
         "input": label,
         "verdict": verdict.validity.value,
         "assumption": verdict.assumption.term,
-        "trace": trace.as_dict() if trace is not None else None,
+        "trace": trace,
     }
 
 
 def _print_json(args, payload: list) -> None:
     # a corpus prints a list, a single input its one object
     print(json.dumps(payload if args.corpus else payload[0], indent=2))
-
-
-def _print_dot(label: str, s: Syllogism, verdict: Verdict) -> None:
-    print(trace_dot(_display_trace(s, verdict), f"{label}: {_verdict_phrase(verdict)}"))
 
 
 def _dot_chain_lines(tag: str, title: str, chain) -> list[str]:
@@ -100,12 +115,14 @@ def trace_dot(trace: Trace, label: str) -> str:
 
 
 def cmd_check(args) -> int:
-    reports = [(label, s, decide(s)) for label, s in _load_inputs(args)]
+    if args.format == "dot":
+        # the graph of a check is the reduction that decided it
+        return cmd_trace(args)
+    reports = list(_decided(_load_inputs(args)))
     if args.format == "json":
-        _print_json(args, [_check_json(label, v, v.trace) for label, _s, v in reports])
-    elif args.format == "dot":
-        for report in reports:
-            _print_dot(*report)
+        distinct = {s: v for _label, s, v in reports}
+        traces = {s: v.trace.as_dict() for s, v in distinct.items() if v.trace is not None}
+        _print_json(args, [_check_json(label, v, traces.get(s)) for label, s, v in reports])
     else:
         for label, _s, v in reports:
             print(f"{label}: {_verdict_phrase(v)}")
@@ -115,16 +132,20 @@ def cmd_check(args) -> int:
 def cmd_trace(args) -> int:
     status = 0
     payload = []
-    for label, s in _load_inputs(args):
-        verdict = decide(s)
+    # a repeated syllogism reuses its trace and, for json, the trace's dict
+    shown: dict[Syllogism, tuple[Trace, dict | None]] = {}
+    for label, s, verdict in _decided(_load_inputs(args)):
         if not verdict.is_valid:
             status = 1
+        entry = shown.get(s)
+        if entry is None:
+            trace = _display_trace(s, verdict)
+            entry = shown[s] = trace, (trace.as_dict() if args.format == "json" else None)
+        trace, trace_dict = entry
         if args.format == "dot":
-            _print_dot(label, s, verdict)
-            continue
-        trace = _display_trace(s, verdict)
-        if args.format == "json":
-            payload.append(_check_json(label, verdict, trace))
+            print(trace_dot(trace, f"{label}: {_verdict_phrase(verdict)}"))
+        elif args.format == "json":
+            payload.append(_check_json(label, verdict, trace_dict))
         else:
             print(f"{label}")
             if verdict.validity is Validity.VALID_WITH_ASSUMPTION:
@@ -237,7 +258,7 @@ def cmd_count(args) -> int:
         )
     else:
         print(f"n={args.n}: {count} valid syllogisms; 3n^2-n = {formula} ({verdict})")
-    return 0
+    return 0 if count == formula else 1
 
 
 def cmd_parse(args) -> int:
@@ -301,7 +322,7 @@ def main(argv=None) -> int:
         where = f" (chars {err.span.start}..{err.span.end})" if err.span else ""
         print(f"error: {err}{where}", file=sys.stderr)
         return 2
-    except (UnsupportedN, ChainError, OSError) as err:
+    except (UnsupportedN, ChainError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

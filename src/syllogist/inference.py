@@ -61,6 +61,13 @@ _FIGURE_LAYOUT = {
     Figure.FOUR: ((MAJOR, MIDDLE), (MIDDLE, MINOR)),
 }
 _FIGURE_OF_LAYOUT = {layout: figure for figure, layout in _FIGURE_LAYOUT.items()}
+# every proposition over the role names, validated once here rather than per syllogism
+_ROLE_PROPOSITIONS = {
+    (kind, x, y): Proposition(kind, x, y)
+    for kind in PropKind
+    for x in (MINOR, MIDDLE, MAJOR)
+    for y in (MINOR, MIDDLE, MAJOR)
+}
 
 
 @dataclass(frozen=True)
@@ -249,13 +256,13 @@ def premisses_of(s: Syllogism) -> tuple[Proposition, Proposition]:
     """The two premiss propositions determined by mood and figure."""
     (s1, p1), (s2, p2) = _FIGURE_LAYOUT[s.figure]
     return (
-        Proposition(s.mood.first, s1, p1),
-        Proposition(s.mood.second, s2, p2),
+        _ROLE_PROPOSITIONS[s.mood.first, s1, p1],
+        _ROLE_PROPOSITIONS[s.mood.second, s2, p2],
     )
 
 
 def conclusion_of(s: Syllogism) -> Proposition:
-    return Proposition(s.mood.conclusion, MINOR, MAJOR)
+    return _ROLE_PROPOSITIONS[s.mood.conclusion, MINOR, MAJOR]
 
 
 def assumption_proposition(s: Syllogism) -> Proposition | None:
@@ -263,7 +270,7 @@ def assumption_proposition(s: Syllogism) -> Proposition | None:
     term = s.assumption.term
     if term is None:
         return None
-    return Proposition(PropKind.I, term, term)
+    return _ROLE_PROPOSITIONS[PropKind.I, term, term]
 
 
 def premiss_chain(s: Syllogism) -> Chain:

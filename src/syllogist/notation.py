@@ -85,6 +85,8 @@ _TERM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 _COMPACT_RE = re.compile(
     r"\s*([A-Za-z]{3})\s*-\s*([0-9]+)(?:\s*\+\s*([A-Za-z]+))?\s*$"
 )
+# four words, or five for 'Some X is not Y'; the templates are checked on the groups
+_PROPOSITION_RE = re.compile(r"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)(?:\s+(\S+))?\s*\Z")
 _ASSUMING_RE = re.compile(r"\s*assuming\s+some\s+(\S+)\s*$", re.IGNORECASE)
 # the line breaks of str.splitlines, so a comment ends where a corpus line does
 _EOL = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -138,52 +140,37 @@ def render_compact(s: Syllogism) -> str:
     return str(s)
 
 
-def _words(text: str) -> list[tuple[str, int]]:
-    return [(m.group(), m.start()) for m in re.finditer(r"\S+", text)]
-
-
-def _term_token(word: str, start: int, offset: int) -> str:
+def _term_token(m: re.Match, group: int, offset: int) -> str:
+    word = m[group]
     if not _TERM_RE.match(word):
-        raise NotationError(
-            f"term tokens start with a letter and use letters, digits or '_', got {word!r}",
-            SourceSpan(offset + start, offset + start + len(word)),
-        )
-    if word.lower() in _KEYWORDS:
-        raise NotationError(
-            f"{word!r} is a reserved word, not a term",
-            SourceSpan(offset + start, offset + start + len(word)),
-        )
-    return word
+        message = f"term tokens start with a letter and use letters, digits or '_', got {word!r}"
+    elif word.lower() in _KEYWORDS:
+        message = f"{word!r} is a reserved word, not a term"
+    else:
+        return word
+    raise NotationError(message, SourceSpan(offset + m.start(group), offset + m.end(group)))
 
 
 def parse_proposition(text: str, offset: int = 0) -> Proposition:
     """Parse one of the four proposition templates."""
-    words = _words(text)
-
-    def fail() -> NotationError:
-        span = SourceSpan(offset, offset + len(text))
-        if words:
-            span = SourceSpan(offset + words[0][1], offset + len(text.rstrip()))
-        return NotationError(
-            "expected 'All X is Y', 'No X is Y', 'Some X is Y' or 'Some X is not Y'",
-            span,
-        )
-
-    if len(words) not in (4, 5):
-        raise fail()
-    head = words[0][0].lower()
-    if words[2][0].lower() != "is":
-        raise fail()
-    if len(words) == 4:
-        kind = {"all": PropKind.A, "no": PropKind.E, "some": PropKind.I}.get(head)
-        predicate_word = words[3]
-    else:
-        kind = PropKind.O if head == "some" and words[3][0].lower() == "not" else None
-        predicate_word = words[4]
+    m = _PROPOSITION_RE.match(text)
+    kind = None
+    if m is not None and m[3].lower() == "is":
+        head = m[1].lower()
+        if m[5] is None:
+            kind = {"all": PropKind.A, "no": PropKind.E, "some": PropKind.I}.get(head)
+        elif head == "some" and m[4].lower() == "not":
+            kind = PropKind.O
     if kind is None:
-        raise fail()
-    subject = _term_token(words[1][0], words[1][1], offset)
-    predicate = _term_token(predicate_word[0], predicate_word[1], offset)
+        # from the first word to the end of the last, or all of a blank text
+        span = SourceSpan(offset, offset + len(text))
+        if text.strip():
+            span = SourceSpan(offset + len(text) - len(text.lstrip()), offset + len(text.rstrip()))
+        raise NotationError(
+            "expected 'All X is Y', 'No X is Y', 'Some X is Y' or 'Some X is not Y'", span
+        )
+    subject = _term_token(m, 2, offset)
+    predicate = _term_token(m, 4 if m[5] is None else 5, offset)
     return Proposition(kind, subject, predicate)
 
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import syllogist
+from syllogist import cli, decide, parse_corpus
 from syllogist.cli import main
 
 
@@ -174,6 +175,13 @@ def test_count_three(capsys):
     assert "match" in out
 
 
+def test_count_mismatch_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "count_valid_nterm", lambda n: 25)
+    code, out, _ = run(capsys, "count", "3")
+    assert code == 1
+    assert "3n^2-n = 24 (MISMATCH)" in out
+
+
 def test_count_unsupported(capsys):
     code, _, err = run(capsys, "count", "7")
     assert code == 2
@@ -210,6 +218,22 @@ def test_corpus_with_a_parse_error(tmp_path, capsys):
     assert "chars 9..10" in err
 
 
+def test_corpus_spans_are_offsets_into_the_file_as_written(tmp_path, capsys):
+    corpus = tmp_path / "crlf.syl"
+    corpus.write_bytes(b"AAA-1\r\n\r\nAAB-1\r\n")
+    code, _, err = run(capsys, "check", "--corpus", str(corpus))
+    assert code == 2
+    assert "chars 11..12" in err
+
+
+def test_corpus_that_is_not_utf8(tmp_path, capsys):
+    corpus = tmp_path / "latin1.syl"
+    corpus.write_bytes(b"AAA-1\n\nAll caf\xe9 is P; All S is caf\xe9; All S is P\n")
+    code, _, err = run(capsys, "check", "--corpus", str(corpus))
+    assert code == 2
+    assert "utf-8" in err
+
+
 def test_corpus_missing_file(capsys):
     code, _, err = run(capsys, "check", "--corpus", "/no/such/file")
     assert code == 2
@@ -222,6 +246,53 @@ def test_corpus_json_is_a_list(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "--corpus", str(corpus), "--format", "json")
     assert code == 0
     assert [d["verdict"] for d in json.loads(out)] == ["valid", "valid"]
+
+
+# one syllogism (AAA-1) four times: compact, as a block, with renamed terms
+# and behind a comment; OEI-4 twice; EAO-3 +M and EAE-1 once
+REPEATS = (
+    "AAA-1\n\n"
+    "All M is P; All S is M; All S is P\n\n"
+    "All dog is animal\nAll puppy is dog\nAll puppy is animal\n\n"
+    "OEI-4\n\n"
+    "# the first one again\nAAA-1\n\n"
+    "EAO-3 +M\n\n"
+    "Some tall is not fish; No fish is cat; Some cat is tall\n\n"
+    "No M is P; All S is M; No S is P\n"
+)
+FORMATS = pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+COMMANDS = pytest.mark.parametrize("command", ["check", "trace"])
+
+
+@COMMANDS
+@FORMATS
+def test_corpus_decides_each_distinct_syllogism_once(tmp_path, capsys, monkeypatch, command, fmt):
+    corpus = tmp_path / "repeats.syl"
+    corpus.write_text(REPEATS)
+    calls = []
+
+    def counting_decide(s):
+        calls.append(s)
+        return decide(s)
+
+    monkeypatch.setattr(cli, "decide", counting_decide)
+    assert run(capsys, command, "--format", fmt, "--corpus", str(corpus))[0] == 1
+    assert sorted(map(str, calls)) == ["AAA-1", "EAE-1", "EAO-3 +M", "OEI-4"]
+
+
+@COMMANDS
+@FORMATS
+def test_corpus_output_is_the_single_outputs_in_order(tmp_path, capsys, command, fmt):
+    corpus = tmp_path / "repeats.syl"
+    corpus.write_text(REPEATS)
+    code, out, _ = run(capsys, command, "--format", fmt, "--corpus", str(corpus))
+    singles = [run(capsys, command, "--format", fmt, str(s)) for s, _span in parse_corpus(REPEATS)]
+    assert len(singles) == 8
+    if fmt == "json":
+        assert json.loads(out) == [json.loads(single_out) for _c, single_out, _e in singles]
+    else:
+        assert out == "".join(single_out for _c, single_out, _e in singles)
+    assert code == max(single_code for single_code, _o, _e in singles) == 1
 
 
 # --- parse ------------------------------------------------------------------

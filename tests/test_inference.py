@@ -14,6 +14,7 @@ from syllogist import (
     Proposition,
     Syllogism,
     Validity,
+    all_syllogisms,
     conclusion_of,
     decide,
     match_conclusion,
@@ -234,6 +235,16 @@ def test_premisses_of_figures():
     assert premisses_of(syl("OAO-3")) == (prop("O", "M", "P"), prop("A", "M", "S"))
     assert premisses_of(syl("AEE-4")) == (prop("A", "P", "M"), prop("E", "M", "S"))
     assert conclusion_of(syl("EIO-2")) == prop("O", "S", "P")
+
+
+def test_deciding_validates_no_proposition(monkeypatch):
+    # the propositions over S, M and P are built and checked once, at import
+    def refuse(p):
+        raise AssertionError(f"validated {p} while deciding")
+
+    monkeypatch.setattr(Proposition, "__post_init__", refuse)
+    for s in all_syllogisms():
+        decide(s)
 
 
 # --- deciding ---------------------------------------------------------------

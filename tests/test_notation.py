@@ -123,6 +123,34 @@ def test_proposition_outside_the_four_templates():
             parse_proposition(bad)
 
 
+@pytest.mark.parametrize("lead,trail", [("", ""), ("  ", "\t "), ("\x85", "\x1c ")])
+@pytest.mark.parametrize("n", range(8))
+def test_proposition_template_error_spans(n, lead, trail):
+    # from the first word to the end of the last; a blank text is spanned whole
+    body = " ".join("Most S are P or not Q".split()[:n])
+    text = lead + body + trail
+    with pytest.raises(NotationError, match="expected 'All X is Y'") as exc:
+        parse_proposition(text, 3)
+    start, end = (3 + len(lead), 3 + len(lead) + len(body)) if body else (3, 3 + len(text))
+    assert (exc.value.span.start, exc.value.span.end) == (start, end)
+
+
+@pytest.mark.parametrize("lead,trail", [("", ""), ("  ", "\t "), ("\x85", "\x1c ")])
+def test_proposition_words_split_at_any_whitespace(lead, trail):
+    assert parse_proposition(lead + "All S is P" + trail) == prop("A", "S", "P")
+    assert parse_proposition(lead + "Some S\x1cis not\x85P" + trail) == prop("O", "S", "P")
+
+
+@pytest.mark.parametrize("space", ["\x1c", "\x85"])
+def test_term_spans_end_at_the_whitespace_after_them(space):
+    with pytest.raises(NotationError, match="got '1S'") as exc:
+        parse_proposition(f"All 1S{space}is P{space}", 5)
+    assert (exc.value.span.start, exc.value.span.end) == (9, 11)
+    with pytest.raises(NotationError, match="reserved word") as exc:
+        parse_proposition(f"Some S is not not{space}")
+    assert (exc.value.span.start, exc.value.span.end) == (14, 17)
+
+
 def test_proposition_render_round_trip():
     for kind in PropKind:
         p = prop(kind.value, "alpha", "beta_2")
