@@ -7,10 +7,15 @@ reduction as a two-row directed graph.  Exit codes: 0 when everything
 checked out valid, 1 when some syllogism is invalid or a count misses
 3n^2-n, 2 on parse or usage errors.
 
-``--corpus FILE`` reads the file as UTF-8 with its line breaks as written,
-so error spans are character offsets into the file, each CRLF counting as
-two characters.  A run decides each distinct syllogism once (there are
-1024), however often a corpus repeats it, and prints one result per block.
+``check`` and ``trace`` share one report path and differ only in how much
+of it they print: ``check`` a verdict line, ``trace`` the reduction.  With
+``--format dot`` both print the same graph.
+
+``check``, ``trace`` and ``parse`` take one syllogism or ``--corpus FILE``,
+never both.  The file is read as UTF-8 with its line breaks as written, so
+error spans are character offsets into the file, each CRLF counting as two
+characters.  A run decides each distinct syllogism once (there are 1024),
+however often a corpus repeats it, and prints one result per block.
 """
 
 from __future__ import annotations
@@ -52,36 +57,32 @@ def _load_inputs(args) -> list[tuple[str, Syllogism]]:
     return [(args.notation, parse_any(args.notation))]
 
 
-def _decided(
-    inputs: list[tuple[str, Syllogism]],
-) -> Iterator[tuple[str, Syllogism, Verdict]]:
-    """Each input with its verdict, deciding each distinct syllogism once per run."""
-    verdicts: dict[Syllogism, Verdict] = {}
-    for label, s in inputs:
-        verdict = verdicts.get(s)
-        if verdict is None:
-            verdict = verdicts[s] = decide(s)
-        yield label, s, verdict
+def _reports(args) -> Iterator[tuple[str, Verdict, Trace | None, dict | None]]:
+    """Each input with its verdict, the trace to show and, for json, its dict.
+
+    A run decides each distinct syllogism once and builds its trace's dict
+    once.  An invalid verdict carries no trace: ``trace`` and ``--format
+    dot`` show its bare reduction instead, and ``check`` in text or json,
+    which never shows it, does not build it.
+    """
+    bare = args.command == "trace" or args.format == "dot"
+    reports: dict[Syllogism, tuple[Verdict, Trace | None, dict | None]] = {}
+    for label, s in _load_inputs(args):
+        report = reports.get(s)
+        if report is None:
+            verdict = decide(s)
+            trace = verdict.trace
+            if trace is None and bare:
+                trace = normalize(premiss_chain(s))
+            trace_dict = trace.as_dict() if trace is not None and args.format == "json" else None
+            report = reports[s] = verdict, trace, trace_dict
+        yield label, *report
 
 
 def _verdict_phrase(verdict: Verdict) -> str:
     if verdict.validity is Validity.VALID_WITH_ASSUMPTION:
         return f"valid under: {verdict.assumption.phrase}"
     return verdict.validity.value
-
-
-def _display_trace(s: Syllogism, verdict: Verdict) -> Trace:
-    # invalid verdicts carry no trace; show the bare reduction instead
-    return verdict.trace if verdict.trace is not None else normalize(premiss_chain(s))
-
-
-def _check_json(label: str, verdict: Verdict, trace: dict | None) -> dict:
-    return {
-        "input": label,
-        "verdict": verdict.validity.value,
-        "assumption": verdict.assumption.term,
-        "trace": trace,
-    }
 
 
 def _print_json(args, payload: list) -> None:
@@ -107,6 +108,8 @@ def _dot_chain_lines(tag: str, title: str, chain) -> list[str]:
 
 def trace_dot(trace: Trace, label: str) -> str:
     """The initial chain and its normal form as a two-row digraph."""
+    # the label holds raw input: escape what ends or escapes a DOT string
+    label = label.replace("\\", "\\\\").replace('"', '\\"')
     lines = ["digraph reduction {", "  rankdir=LR;", f'  label="{label}";']
     lines += _dot_chain_lines("i", "premisses", trace.initial)
     lines += _dot_chain_lines("n", "normal form", trace.normal_form)
@@ -114,40 +117,28 @@ def trace_dot(trace: Trace, label: str) -> str:
     return "\n".join(lines)
 
 
-def cmd_check(args) -> int:
-    if args.format == "dot":
-        # the graph of a check is the reduction that decided it
-        return cmd_trace(args)
-    reports = list(_decided(_load_inputs(args)))
-    if args.format == "json":
-        distinct = {s: v for _label, s, v in reports}
-        traces = {s: v.trace.as_dict() for s, v in distinct.items() if v.trace is not None}
-        _print_json(args, [_check_json(label, v, traces.get(s)) for label, s, v in reports])
-    else:
-        for label, _s, v in reports:
-            print(f"{label}: {_verdict_phrase(v)}")
-    return 0 if all(v.is_valid for _label, _s, v in reports) else 1
-
-
-def cmd_trace(args) -> int:
+def cmd_report(args) -> int:
+    """``check`` and ``trace``: one report per input, printed as it is decided."""
     status = 0
     payload = []
-    # a repeated syllogism reuses its trace and, for json, the trace's dict
-    shown: dict[Syllogism, tuple[Trace, dict | None]] = {}
-    for label, s, verdict in _decided(_load_inputs(args)):
+    for label, verdict, trace, trace_dict in _reports(args):
         if not verdict.is_valid:
             status = 1
-        entry = shown.get(s)
-        if entry is None:
-            trace = _display_trace(s, verdict)
-            entry = shown[s] = trace, (trace.as_dict() if args.format == "json" else None)
-        trace, trace_dict = entry
         if args.format == "dot":
             print(trace_dot(trace, f"{label}: {_verdict_phrase(verdict)}"))
         elif args.format == "json":
-            payload.append(_check_json(label, verdict, trace_dict))
+            payload.append(
+                {
+                    "input": label,
+                    "verdict": verdict.validity.value,
+                    "assumption": verdict.assumption.term,
+                    "trace": trace_dict,
+                }
+            )
+        elif args.command == "check":
+            print(f"{label}: {_verdict_phrase(verdict)}")
         else:
-            print(f"{label}")
+            print(label)
             if verdict.validity is Validity.VALID_WITH_ASSUMPTION:
                 print(f"assumption: {verdict.assumption.phrase}")
             print(f"chain: {trace.initial}")
@@ -296,16 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=formats, default="text", help="output format"
         )
         if notation:
-            p.add_argument(
+            inputs = p.add_mutually_exclusive_group()
+            inputs.add_argument(
                 "notation",
                 nargs="?",
                 help="compact (EIO-2, AAI-3 +M) or block (All M is P; ...) notation",
             )
-            p.add_argument("--corpus", metavar="FILE", help="check every block in FILE")
+            inputs.add_argument("--corpus", metavar="FILE", help="check every block in FILE")
         return p
 
-    add("check", cmd_check, "decide a syllogism", True, ("text", "json", "dot"))
-    add("trace", cmd_trace, "show the reduction trace", True, ("text", "json", "dot"))
+    add("check", cmd_report, "decide a syllogism", True, ("text", "json", "dot"))
+    add("trace", cmd_report, "show the reduction trace", True, ("text", "json", "dot"))
     add("tables", cmd_tables, "enumerate all moods and figures", False, ("text", "json"))
     add("laws", cmd_laws, "run the square-of-opposition laws", False, ("text", "json"))
     count_p = add("count", cmd_count, "count valid n-term syllogisms", False, ("text", "json"))

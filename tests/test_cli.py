@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import syllogist
-from syllogist import cli, decide, parse_corpus
+from syllogist import cli, decide, normalize, parse_corpus
 from syllogist.cli import main
 
 
@@ -70,6 +70,19 @@ def test_check_json_invalid_has_no_trace(capsys):
     assert data["trace"] is None
 
 
+@pytest.mark.parametrize("command", ["check", "trace", "parse"])
+def test_syllogism_and_corpus_together_is_a_usage_error(tmp_path, capsys, command):
+    corpus = tmp_path / "one.syl"
+    corpus.write_text("EAE-1\n")
+    for argv in (["OEI-4", "--corpus", str(corpus)], ["--corpus", str(corpus), "OEI-4"]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+
+
 def test_missing_input(capsys):
     code, _, err = run(capsys, "check")
     assert code == 2
@@ -110,6 +123,16 @@ def test_trace_invalid_shows_the_stuck_chain(capsys):
     assert "step " not in out
 
 
+def test_trace_json_invalid_shows_the_stuck_chain(capsys):
+    # check --format json gives "trace": null here (test_check_json_invalid_has_no_trace)
+    stuck = "S -> * <- M -> * <- * -> P"
+    code, out, _ = run(capsys, "trace", "--format", "json", "OEI-4")
+    assert code == 1
+    data = json.loads(out)
+    assert data["verdict"] == "invalid"
+    assert data["trace"] == {"initial": stuck, "steps": [], "normal_form": stuck}
+
+
 def test_trace_json(capsys):
     code, out, _ = run(capsys, "trace", "--format", "json", "AAA-1")
     assert code == 0
@@ -132,6 +155,18 @@ def test_check_dot_matches_trace_dot(capsys, notation):
     assert run(capsys, "check", "--format", "dot", notation) == run(
         capsys, "trace", "--format", "dot", notation
     )
+
+
+@pytest.mark.parametrize(
+    "notation, label",
+    [
+        ('AAA-1 # say "hi"', 'AAA-1 # say \\"hi\\": valid'),
+        ("OEI-4 # a\\l b\\", "OEI-4 # a\\\\l b\\\\: invalid"),
+    ],
+)
+def test_dot_label_escapes_the_input(capsys, notation, label):
+    _code, out, _ = run(capsys, "check", "--format", "dot", notation)
+    assert out.splitlines()[2] == f'  label="{label}";'
 
 
 # --- tables, laws, count ----------------------------------------------------
@@ -278,6 +313,22 @@ def test_corpus_decides_each_distinct_syllogism_once(tmp_path, capsys, monkeypat
     monkeypatch.setattr(cli, "decide", counting_decide)
     assert run(capsys, command, "--format", fmt, "--corpus", str(corpus))[0] == 1
     assert sorted(map(str, calls)) == ["AAA-1", "EAE-1", "EAO-3 +M", "OEI-4"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_builds_no_bare_reduction(tmp_path, capsys, monkeypatch, fmt):
+    # an invalid verdict's reduction is shown only by trace and dot output
+    corpus = tmp_path / "repeats.syl"
+    corpus.write_text(REPEATS)
+    calls = []
+
+    def counting_normalize(chain):
+        calls.append(chain)
+        return normalize(chain)
+
+    monkeypatch.setattr(cli, "normalize", counting_normalize)
+    assert run(capsys, "check", "--format", fmt, "--corpus", str(corpus))[0] == 1
+    assert calls == []
 
 
 @COMMANDS
