@@ -54,7 +54,6 @@ from .regions import (
     TooManyTerms,
     UnknownTerm,
     eval_proposition,
-    semantic_decide,
     semantic_verdict,
     space_for,
 )

@@ -240,24 +240,15 @@ def count_valid_nterm(n: int, with_assumptions: bool = True) -> int:
         raise UnsupportedN(f"n-term counting supports n in {{3, 4}}, got {n!r}")
     terms = tuple(f"T{i}" for i in range(1, n + 1))
     space = space_for(terms)
-    existence = [Proposition(PropKind.I, t, t) for t in terms]
-    slot_choices = list(product(PropKind, (False, True)))
-    count = 0
-    for combo in product(slot_choices, repeat=n - 1):
-        premisses = []
-        for i, (kind, swapped) in enumerate(combo):
-            subject, predicate = terms[i], terms[i + 1]
-            if swapped:
-                subject, predicate = predicate, subject
-            premisses.append(Proposition(kind, subject, predicate))
-        for conclusion_kind in PropKind:
-            conclusion = Proposition(conclusion_kind, terms[0], terms[-1])
-            ok = space.entails(premisses, conclusion)
-            if not ok and with_assumptions:
-                ok = any(
-                    space.entails(premisses, conclusion, (some,))
-                    for some in existence
-                )
-            if ok:
-                count += 1
-    return count
+    # slot i holds the 8 premisses over (T_i, T_(i+1)): each kind, either way round
+    slots = [
+        [Proposition(kind, *pair) for kind, pair in product(PropKind, (pair, pair[::-1]))]
+        for pair in zip(terms, terms[1:])
+    ]
+    conclusions = [Proposition(kind, terms[0], terms[-1]) for kind in PropKind]
+    existence = [(Proposition(PropKind.I, t, t),) for t in terms] if with_assumptions else []
+    return sum(
+        any(space.entails(premisses, conclusion, extra) for extra in [(), *existence])
+        for premisses in product(*slots)
+        for conclusion in conclusions
+    )

@@ -47,7 +47,7 @@ from .notation import NotationError, parse_any, parse_corpus, render_block
 
 
 def _load_inputs(args) -> list[tuple[str, Syllogism]]:
-    if args.corpus:
+    if args.corpus is not None:
         # newline="" keeps '\r\n' as written, so spans are offsets into the file
         with open(args.corpus, encoding="utf-8", newline="") as f:
             text = f.read()
@@ -87,7 +87,7 @@ def _verdict_phrase(verdict: Verdict) -> str:
 
 def _print_json(args, payload: list) -> None:
     # a corpus prints a list, a single input its one object
-    print(json.dumps(payload if args.corpus else payload[0], indent=2))
+    print(json.dumps(payload if args.corpus is not None else payload[0], indent=2))
 
 
 def _dot_chain_lines(tag: str, title: str, chain) -> list[str]:

@@ -168,27 +168,23 @@ class Validity(Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of deciding a syllogism, with the witnessing trace if any."""
+    """Outcome of deciding a syllogism, with the witnessing trace if any.
+
+    A verdict names an assumption exactly when its validity is
+    ``VALID_WITH_ASSUMPTION``; any other combination raises ``ValueError``.
+    """
 
     validity: Validity
     assumption: Assumption = Assumption.NONE
     trace: Trace | None = None
 
-    @classmethod
-    def invalid(cls) -> "Verdict":
-        return cls(Validity.INVALID)
-
-    @classmethod
-    def valid(cls, trace: Trace | None = None) -> "Verdict":
-        return cls(Validity.VALID, trace=trace)
-
-    @classmethod
-    def under_assumption(
-        cls, assumption: Assumption, trace: Trace | None = None
-    ) -> "Verdict":
-        if assumption is Assumption.NONE:
-            raise ValueError("a conditional verdict names its assumption")
-        return cls(Validity.VALID_WITH_ASSUMPTION, assumption, trace)
+    def __post_init__(self) -> None:
+        conditional = self.validity is Validity.VALID_WITH_ASSUMPTION
+        if conditional == (self.assumption is Assumption.NONE):
+            raise ValueError(
+                "a verdict names an assumption exactly when it is valid-with-assumption,"
+                f" got {self.validity.value} with assumption {self.assumption.value!r}"
+            )
 
     @property
     def is_valid(self) -> bool:
@@ -303,11 +299,11 @@ def decide(s: Syllogism) -> Verdict:
     goal = conclusion_of(s)
     trace = normalize(chain)
     if match_conclusion(trace.normal_form, goal):
-        return Verdict.valid(trace)
+        return Verdict(Validity.VALID, trace=trace)
     term = s.assumption.term
     if term is not None:
         for occurrence in range(len(chain.occurrences(term))):
             candidate = normalize(splice_existence(chain, term, occurrence))
             if match_conclusion(candidate.normal_form, goal):
-                return Verdict.under_assumption(s.assumption, candidate)
-    return Verdict.invalid()
+                return Verdict(Validity.VALID_WITH_ASSUMPTION, s.assumption, candidate)
+    return Verdict(Validity.INVALID)

@@ -95,11 +95,6 @@ _COMMENT_RE = re.compile(f"#[^{_EOL}]*")
 _SEGMENT_RE = re.compile(f"([^;#{_EOL}]+)|{_COMMENT_RE.pattern}")
 
 
-def looks_compact(text: str) -> bool:
-    """Cheap shape test used to route input to the right parser."""
-    return _COMPACT_RE.match(text) is not None
-
-
 def parse_compact(text: str, offset: int = 0) -> Syllogism:
     """Parse ``MOOD-FIGURE`` notation, e.g. ``AAI-3 +M``."""
     m = _COMPACT_RE.match(text)
@@ -285,7 +280,7 @@ def parse_any(text: str, offset: int = 0) -> Syllogism:
     """Parse either notation, routed on the input's shape; '#' comments are ignored."""
     # blank comments out in place so offsets into ``clean`` stay offsets into ``text``
     clean = _COMMENT_RE.sub(lambda m: " " * len(m[0]), text)
-    if looks_compact(clean):
+    if _COMPACT_RE.match(clean):
         return parse_compact(clean, offset)
     return parse_syllogism_block(text, offset)
 
@@ -298,11 +293,10 @@ def parse_corpus(text: str) -> list[tuple[Syllogism, SourceSpan]]:
     """
     results = []
     start = 0
-    for blank, group in groupby(text.splitlines(keepends=True), key=str.isspace):
-        lines = list(group)
-        block = "".join(lines)
+    for _blank, group in groupby(text.splitlines(keepends=True), key=str.isspace):
+        block = "".join(group)
         end = start + len(block)
-        if not blank and not all(line.lstrip().startswith("#") for line in lines):
+        if _COMMENT_RE.sub("", block).strip():
             results.append((parse_any(block, start), SourceSpan(start, end)))
         start = end
     return results

@@ -12,6 +12,10 @@ enumeration, which is kept deliberately simple: every model is evaluated.
 A truth vector over the whole model space is a Python ``int`` whose bit m
 is the proposition's truth in model m (the truth table as a bitstring,
 Knuth, TAOCP 4A 7.1), so one ``|`` or ``&`` sweeps every model at once.
+
+The oracle has one query, ``space_for(terms).entails(premisses,
+conclusion, assumptions)``: the space over a term list is built once and
+caches truth vectors across queries.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .inference import (
     MIDDLE,
     MINOR,
     Syllogism,
+    Validity,
     Verdict,
     assumption_proposition,
     conclusion_of,
@@ -166,16 +171,6 @@ def space_for(terms: tuple[TermId, ...]) -> ModelSpace:
     return ModelSpace(terms)
 
 
-def semantic_decide(
-    premisses: Sequence[Proposition],
-    assumptions: Sequence[Proposition],
-    conclusion: Proposition,
-    terms: Sequence[TermId],
-) -> bool:
-    """Entailment by exhaustive enumeration of all region models."""
-    return space_for(tuple(terms)).entails(premisses, conclusion, assumptions)
-
-
 def semantic_verdict(s: Syllogism) -> Verdict:
     """Classify a syllogism semantically, mirroring the calculus verdicts.
 
@@ -187,8 +182,8 @@ def semantic_verdict(s: Syllogism) -> Verdict:
     goal = conclusion_of(s)
     space = space_for((MINOR, MIDDLE, MAJOR))
     if space.entails(premisses, goal):
-        return Verdict.valid()
+        return Verdict(Validity.VALID)
     existence = assumption_proposition(s)
     if existence is not None and space.entails(premisses, goal, (existence,)):
-        return Verdict.under_assumption(s.assumption)
-    return Verdict.invalid()
+        return Verdict(Validity.VALID_WITH_ASSUMPTION, s.assumption)
+    return Verdict(Validity.INVALID)

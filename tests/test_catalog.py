@@ -163,6 +163,12 @@ def test_three_term_bare_count():
     assert count_valid_nterm(3, with_assumptions=False) == 15
 
 
+def test_four_term_counts():
+    assert count_valid_nterm(4) == 44
+    # 2n^2 - n unconditionally valid candidates
+    assert count_valid_nterm(4, with_assumptions=False) == 28
+
+
 def test_unsupported_n():
     for n in (1, 2, 5, 0, -3):
         with pytest.raises(UnsupportedN):

@@ -89,6 +89,14 @@ def test_missing_input(capsys):
     assert "nothing to parse" in err
 
 
+@pytest.mark.parametrize("command", ["check", "trace", "parse"])
+def test_empty_corpus_name_is_a_missing_file(capsys, command):
+    code, out, err = run(capsys, command, "--corpus", "")
+    assert code == 2
+    assert out == ""
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

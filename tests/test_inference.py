@@ -14,6 +14,7 @@ from syllogist import (
     Proposition,
     Syllogism,
     Validity,
+    Verdict,
     all_syllogisms,
     conclusion_of,
     decide,
@@ -284,6 +285,19 @@ def test_unconditional_validity_dominates():
     verdict = decide(syl("AAA-1 +S"))
     assert verdict.validity is Validity.VALID
     assert verdict.assumption is Assumption.NONE
+
+
+def test_verdict_names_an_assumption_exactly_when_conditional():
+    for validity in (Validity.VALID, Validity.INVALID):
+        assert Verdict(validity).summary() == validity.value
+    for assumption in (Assumption.SOME_S, Assumption.SOME_M, Assumption.SOME_P):
+        verdict = Verdict(Validity.VALID_WITH_ASSUMPTION, assumption)
+        assert verdict.summary() == f"valid +{assumption.value}"
+        for validity in (Validity.VALID, Validity.INVALID):
+            with pytest.raises(ValueError):
+                Verdict(validity, assumption)
+    with pytest.raises(ValueError):
+        Verdict(Validity.VALID_WITH_ASSUMPTION)
 
 
 def test_splice_at_the_junction_threads_the_import_through():

@@ -302,6 +302,10 @@ def test_spans_are_character_offsets():
 def test_parse_corpus_empty_and_comment_only():
     assert parse_corpus("") == []
     assert parse_corpus("# nothing here\n\n# still nothing\n") == []
+    assert parse_corpus("# nothing here\n\n# still nothing") == []
+    # a final comment with no line break after it is skipped, not parsed
+    parsed = parse_corpus("AAA-1\n\n# end")
+    assert [(str(s), span.start, span.end) for s, span in parsed] == [("AAA-1", 0, 6)]
 
 
 @pytest.mark.parametrize("eol", ["\r", "\u2028"])

@@ -16,7 +16,6 @@ from syllogist import (
     UnknownTerm,
     Validity,
     eval_proposition,
-    semantic_decide,
     semantic_verdict,
     space_for,
 )
@@ -79,7 +78,7 @@ def test_unknown_term():
     with pytest.raises(UnknownTerm):
         eval_proposition(prop("A", "A", "Z"), RegionModel(AB, 0))
     with pytest.raises(UnknownTerm):
-        semantic_decide([prop("A", "Q", "B")], [], prop("A", "A", "B"), AB)
+        space_for(AB).entails([prop("A", "Q", "B")], prop("A", "A", "B"))
 
 
 def test_duplicate_terms_rejected():
@@ -90,33 +89,30 @@ def test_duplicate_terms_rejected():
 # --- entailment -------------------------------------------------------------
 
 def test_first_figure_entailment():
-    assert semantic_decide(
-        [prop("A", "M", "P"), prop("A", "S", "M")], [], prop("A", "S", "P"), SMP
+    assert space_for(SMP).entails(
+        [prop("A", "M", "P"), prop("A", "S", "M")], prop("A", "S", "P")
     )
 
 
 def test_two_particular_premisses_fail():
-    assert not semantic_decide(
-        [prop("O", "P", "M"), prop("E", "M", "S")], [], prop("I", "S", "P"), SMP
+    assert not space_for(SMP).entails(
+        [prop("O", "P", "M"), prop("E", "M", "S")], prop("I", "S", "P")
     )
 
 
 def test_existence_assumption_rescues_the_import_case():
     premisses = [prop("E", "P", "M"), prop("A", "M", "S")]
     conclusion = prop("O", "S", "P")
-    assert not semantic_decide(premisses, [], conclusion, SMP)
-    assert semantic_decide(premisses, [prop("I", "M", "M")], conclusion, SMP)
+    assert not space_for(SMP).entails(premisses, conclusion)
+    assert space_for(SMP).entails(premisses, conclusion, [prop("I", "M", "M")])
 
 
 def test_subalternation_needs_import():
-    assert not semantic_decide([prop("A", "A", "B")], [], prop("I", "A", "B"), AB)
-    assert semantic_decide(
-        [prop("A", "A", "B")], [prop("I", "A", "A")], prop("I", "A", "B"), AB
-    )
-    assert not semantic_decide([prop("E", "A", "B")], [], prop("O", "A", "B"), AB)
-    assert semantic_decide(
-        [prop("E", "A", "B")], [prop("I", "A", "A")], prop("O", "A", "B"), AB
-    )
+    space = space_for(AB)
+    assert not space.entails([prop("A", "A", "B")], prop("I", "A", "B"))
+    assert space.entails([prop("A", "A", "B")], prop("I", "A", "B"), [prop("I", "A", "A")])
+    assert not space.entails([prop("E", "A", "B")], prop("O", "A", "B"))
+    assert space.entails([prop("E", "A", "B")], prop("O", "A", "B"), [prop("I", "A", "A")])
 
 
 def test_assumptions_are_monotone():
@@ -129,9 +125,7 @@ def test_assumptions_are_monotone():
             s = Syllogism(mood, fig)
             if semantic_verdict(s).is_valid:
                 for some in existence:
-                    assert semantic_decide(
-                        list(premisses_of(s)), [some], conclusion_of(s), SMP
-                    )
+                    assert space_for(SMP).entails(premisses_of(s), conclusion_of(s), [some])
 
 
 def test_bitset_truth_agrees_with_per_model_loop():
