@@ -53,11 +53,13 @@ from .regions import (
     RegionModel,
     TooManyTerms,
     UnknownTerm,
+    VennSpace,
     eval_proposition,
     semantic_verdict,
     space_for,
 )
 from .catalog import (
+    MAX_COUNT_TERMS,
     LawResult,
     TableRow,
     TermNotInChain,

@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("tables", cmd_tables, "enumerate all moods and figures", False, ("text", "json"))
     add("laws", cmd_laws, "run the square-of-opposition laws", False, ("text", "json"))
     count_p = add("count", cmd_count, "count valid n-term syllogisms", False, ("text", "json"))
-    count_p.add_argument("n", type=int, help="number of terms (3 or 4)")
+    count_p.add_argument("n", type=int, help="number of terms (3 to 6)")
     add("parse", cmd_parse, "echo the canonical forms", True, ("text", "json"))
     return parser
 

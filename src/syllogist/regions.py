@@ -1,27 +1,23 @@
 """Region-model semantics: the independent ground truth.
 
 A model over k terms assigns inhabited-or-empty to each of the 2^k atomic
-Venn regions.  The truth of a categorical proposition depends only on
-which atoms are inhabited, so quantifying over every inhabitation pattern
-(all 2^(2^k) of them) decides entailment over all universes.  The empty
-universe is one of the models; no existential import is built in.
+Venn regions; a proposition's truth depends only on which atoms are
+inhabited.  The empty universe is one of the models, so no existential
+import is built in.  This module never looks at chains or reductions.
 
-This module never looks at chains or reductions.  It exists so that the
-chain calculus can be checked against plain set semantics by exhaustive
-enumeration, which is kept deliberately simple: every model is evaluated.
-A truth vector over the whole model space is a Python ``int`` whose bit m
-is the proposition's truth in model m (the truth table as a bitstring,
-Knuth, TAOCP 4A 7.1), so one ``|`` or ``&`` sweeps every model at once.
-
-The oracle has one query, ``space_for(terms).entails(premisses,
-conclusion, assumptions)``: the space over a term list is built once and
-caches truth vectors across queries.
+Two oracles answer one query, ``.entails(premisses, conclusion,
+assumptions)``.  ``space_for(terms)`` evaluates all 2^(2^k) models at
+once, a truth vector being an ``int`` whose bit m is the truth in model m
+(Knuth, TAOCP 4A 7.1).  It stays, up to ``MAX_TERMS``, as the simple
+oracle for the tables and the check on ``VennSpace(terms)``, which
+decides the same query in closed form, so the n-term counts go further.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .chains import PropKind, Proposition, TermId
@@ -49,8 +45,6 @@ class TooManyTerms(ValueError):
 
 
 def _check_terms(terms: tuple[TermId, ...]) -> None:
-    if len(terms) > MAX_TERMS:
-        raise TooManyTerms(f"at most {MAX_TERMS} terms, got {len(terms)}")
     if len(set(terms)) != len(terms):
         raise ValueError(f"duplicate terms in {terms!r}")
 
@@ -113,6 +107,8 @@ class ModelSpace:
 
     def __init__(self, terms: Sequence[TermId]):
         self.terms = tuple(terms)
+        if len(self.terms) > MAX_TERMS:
+            raise TooManyTerms(f"at most {MAX_TERMS} terms, got {len(self.terms)}")
         _check_terms(self.terms)
         n_atoms = 1 << len(self.terms)
         self._size = 1 << n_atoms
@@ -164,6 +160,47 @@ def _atom_vector(atom: int, size: int) -> int:
         vector |= vector << width
         width <<= 1
     return vector
+
+
+class VennSpace:
+    """Closed-form entailment over the 2^k atoms of a term list: the Venn method.
+
+    Premisses, assumptions and the negated conclusion hold together exactly
+    when each particular one's region keeps an atom that no universal one
+    empties (the model inhabiting every such atom shows it), so the query is
+    entailed exactly when some particular region lies inside that union.
+    """
+
+    def __init__(self, terms: Sequence[TermId]):
+        self.terms = tuple(terms)
+        _check_terms(self.terms)
+        self._regions: dict[Proposition, tuple[bool, int]] = {}  # particular?, region mask
+
+    def _region(self, p: Proposition) -> tuple[bool, int]:
+        known = self._regions.get(p)
+        if known is None:
+            mask = sum(1 << a for a in region_atoms(p, self.terms))
+            known = self._regions[p] = (p.kind.particular, mask)
+        return known
+
+    def entails(
+        self, premisses: Iterable[Proposition], conclusion: Proposition, assumptions=()
+    ) -> bool:
+        """The query of ``ModelSpace.entails``, with no model enumerated."""
+        emptied = 0
+        inhabited = []
+        for q in chain(premisses, assumptions):
+            particular, mask = self._region(q)
+            if particular:
+                inhabited.append(mask)
+            else:
+                emptied |= mask
+        particular, mask = self._region(conclusion)  # negated: same region, other quantity
+        if particular:
+            emptied |= mask
+        else:
+            inhabited.append(mask)
+        return any(not r & ~emptied for r in inhabited)
 
 
 @lru_cache(maxsize=None)

@@ -4,6 +4,7 @@ import pytest
 
 from syllogist import (
     Assumption,
+    MAX_COUNT_TERMS,
     PropKind,
     Proposition,
     TermNotInChain,
@@ -16,10 +17,12 @@ from syllogist import (
     enumerate_all,
     mutually_excluded,
     opposition_laws,
+    space_for,
 )
 
 from test_chains import ch, prop
 from test_inference import syl
+from test_regions import count_queries
 
 
 def test_all_moods_covers_the_cube():
@@ -169,7 +172,27 @@ def test_four_term_counts():
     assert count_valid_nterm(4, with_assumptions=False) == 28
 
 
+def test_counts_match_the_formulas():
+    for n in range(3, MAX_COUNT_TERMS + 1):
+        assert count_valid_nterm(n) == 3 * n * n - n
+    for n in range(3, 6):
+        assert count_valid_nterm(n, with_assumptions=False) == 2 * n * n - n
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_one_assumption_or_all_of_them(n):
+    # valid bare or under one existence assumption exactly when valid
+    # under all of them together: the lemma above count_valid_nterm
+    terms, existence, candidates = count_queries(n)
+    space = space_for(terms)
+    singles = [(e,) for e in existence]
+    for premisses, conclusion in candidates:
+        alone = any(space.entails(premisses, conclusion, extra) for extra in [(), *singles])
+        assert alone == space.entails(premisses, conclusion, existence), (premisses, conclusion)
+
+
 def test_unsupported_n():
-    for n in (1, 2, 5, 0, -3):
+    assert MAX_COUNT_TERMS == 6
+    for n in (1, 2, 0, -3, 7):
         with pytest.raises(UnsupportedN):
             count_valid_nterm(n)

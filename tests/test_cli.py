@@ -226,9 +226,10 @@ def test_count_mismatch_exits_1(monkeypatch, capsys):
 
 
 def test_count_unsupported(capsys):
-    code, _, err = run(capsys, "count", "7")
+    code, out, err = run(capsys, "count", "7")
     assert code == 2
-    assert "3, 4" in err
+    assert out == ""
+    assert err == "error: n-term counting supports n from 3 to 6, got 7\n"
 
 
 # --- corpus batches ---------------------------------------------------------

@@ -3,6 +3,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from syllogist import (
     Assumption,
@@ -10,11 +11,13 @@ from syllogist import (
     Mood,
     ModelSpace,
     PropKind,
+    Proposition,
     RegionModel,
     Syllogism,
     TooManyTerms,
     UnknownTerm,
     Validity,
+    VennSpace,
     eval_proposition,
     semantic_verdict,
     space_for,
@@ -150,6 +153,65 @@ def test_bitset_truth_agrees_with_per_model_loop():
                 if eval_proposition(premiss, RegionModel(AB, mask))
             )
             assert space.entails([premiss], conclusion) == expected
+
+
+# --- the closed-form oracle against enumeration ------------------------------
+
+def count_queries(n):
+    """Terms, existence assumptions and the (premisses, conclusion) pairs
+    of the n-term count: one premiss over each adjacent pair of terms,
+    either way round, and a conclusion over the first and last term."""
+    terms = tuple(f"T{i}" for i in range(1, n + 1))
+    slots = [
+        [Proposition(kind, *pair) for kind in PropKind for pair in ((x, y), (y, x))]
+        for x, y in zip(terms, terms[1:])
+    ]
+    conclusions = [Proposition(kind, terms[0], terms[-1]) for kind in PropKind]
+    existence = [prop("I", t, t) for t in terms]
+    return terms, existence, [(p, c) for p in product(*slots) for c in conclusions]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_venn_space_agrees_with_enumeration_on_the_count_queries(n):
+    terms, existence, candidates = count_queries(n)
+    venn, space = VennSpace(terms), space_for(terms)
+    for extra in [(), *((e,) for e in existence), tuple(existence)]:
+        for premisses, conclusion in candidates:
+            expected = space.entails(premisses, conclusion, extra)
+            assert venn.entails(premisses, conclusion, extra) == expected, (premisses, conclusion, extra)
+
+
+@st.composite
+def queries(draw):
+    terms = ("A", "B", "C", "D")[: draw(st.integers(1, 4))]
+    one_term = st.sampled_from(terms)
+    props = st.builds(Proposition, st.sampled_from(PropKind), one_term, one_term)
+    return terms, draw(st.lists(props, max_size=4)), draw(st.lists(props, max_size=3)), draw(props)
+
+
+@given(queries())
+def test_venn_space_agrees_with_enumeration(query):
+    terms, premisses, assumptions, conclusion = query
+    expected = space_for(terms).entails(premisses, conclusion, assumptions)
+    assert VennSpace(terms).entails(premisses, conclusion, assumptions) == expected
+
+
+def test_venn_space_checks_its_terms():
+    with pytest.raises(ValueError, match="duplicate"):
+        VennSpace(("A", "B", "A"))
+    with pytest.raises(UnknownTerm):
+        VennSpace(AB).entails([prop("A", "A", "B")], prop("A", "A", "Z"))
+    with pytest.raises(UnknownTerm):
+        VennSpace(AB).entails([], prop("A", "A", "B"), [prop("I", "Q", "Q")])
+
+
+def test_venn_space_reaches_past_the_enumeration_cap():
+    five = ("A", "B", "C", "D", "E")
+    chain = [prop("A", x, y) for x, y in zip(five, five[1:])]
+    venn = VennSpace(five)
+    assert venn.entails(chain, prop("A", "A", "E"))
+    assert not venn.entails(chain, prop("I", "A", "E"))
+    assert venn.entails(chain, prop("I", "A", "E"), [prop("I", "A", "A")])
 
 
 # --- verdict adapter --------------------------------------------------------
