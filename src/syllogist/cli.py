@@ -7,14 +7,15 @@ reduction as a two-row directed graph.  Exit codes: 0 when everything
 checked out valid, 1 when some syllogism is invalid or a count misses
 3n^2-n, 2 on parse or usage errors.
 
-``check`` and ``trace`` share one report path and differ only in how much
-of it they print: ``check`` a verdict line, ``trace`` the reduction.  With
-``--format dot`` both print the same graph.
+``check``, ``trace`` and ``parse`` share one report path.  ``check``
+prints a verdict line, ``trace`` the reduction and ``parse`` the canonical
+forms, deciding nothing; with ``--format dot`` ``check`` and ``trace``
+print the same graph.
 
-``check``, ``trace`` and ``parse`` take one syllogism or ``--corpus FILE``,
-never both.  The file is read as UTF-8 with its line breaks as written, so
-error spans are character offsets into the file, each CRLF counting as two
-characters.  A run decides each distinct syllogism once (there are 1024),
+All three take one syllogism or ``--corpus FILE``, never both.  The file
+is read as UTF-8 with its line breaks as written, so error spans are
+character offsets into the file, each CRLF counting as two characters.
+A run decides and renders each distinct syllogism once (there are 1024),
 however often a corpus repeats it, and prints one result per block.
 """
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterator
 
 from .catalog import (
     UnsupportedN,
@@ -38,7 +38,6 @@ from .inference import (
     Syllogism,
     Trace,
     Validity,
-    Verdict,
     decide,
     normalize,
     premiss_chain,
@@ -57,37 +56,8 @@ def _load_inputs(args) -> list[tuple[str, Syllogism]]:
     return [(args.notation, parse_any(args.notation))]
 
 
-def _reports(args) -> Iterator[tuple[str, Verdict, Trace | None, dict | None]]:
-    """Each input with its verdict, the trace to show and, for json, its dict.
-
-    A run decides each distinct syllogism once and builds its trace's dict
-    once.  An invalid verdict carries no trace: ``trace`` and ``--format
-    dot`` show its bare reduction instead, and ``check`` in text or json,
-    which never shows it, does not build it.
-    """
-    bare = args.command == "trace" or args.format == "dot"
-    reports: dict[Syllogism, tuple[Verdict, Trace | None, dict | None]] = {}
-    for label, s in _load_inputs(args):
-        report = reports.get(s)
-        if report is None:
-            verdict = decide(s)
-            trace = verdict.trace
-            if trace is None and bare:
-                trace = normalize(premiss_chain(s))
-            trace_dict = trace.as_dict() if trace is not None and args.format == "json" else None
-            report = reports[s] = verdict, trace, trace_dict
-        yield label, *report
-
-
-def _verdict_phrase(verdict: Verdict) -> str:
-    if verdict.validity is Validity.VALID_WITH_ASSUMPTION:
-        return f"valid under: {verdict.assumption.phrase}"
-    return verdict.validity.value
-
-
-def _print_json(args, payload: list) -> None:
-    # a corpus prints a list, a single input its one object
-    print(json.dumps(payload if args.corpus is not None else payload[0], indent=2))
+def _print_json(obj) -> None:
+    print(json.dumps(obj, indent=2))
 
 
 def _dot_chain_lines(tag: str, title: str, chain) -> list[str]:
@@ -117,37 +87,77 @@ def trace_dot(trace: Trace, label: str) -> str:
     return "\n".join(lines)
 
 
+def _report(args, label: str, s: Syllogism) -> tuple[bool, str | dict]:
+    """Whether the input is valid, and its output: printed text, or its json entry.
+
+    ``parse`` only renders the canonical forms and decides nothing.  An
+    invalid verdict carries no trace: ``trace`` and ``--format dot`` show
+    its bare reduction instead, and ``check`` in text or json, which never
+    shows it, does not build it.
+    """
+    if args.command == "parse":
+        if args.format == "json":
+            return True, {
+                "input": label,
+                "mood": str(s.mood),
+                "figure": s.figure.value,
+                "assumption": s.assumption.term,
+                "block": render_block(s),
+            }
+        return True, f"{s} = {render_block(s)}"
+    verdict = decide(s)
+    trace = verdict.trace
+    if trace is None and (args.command == "trace" or args.format == "dot"):
+        trace = normalize(premiss_chain(s))
+    phrase = verdict.validity.value
+    if verdict.validity is Validity.VALID_WITH_ASSUMPTION:
+        phrase = f"valid under: {verdict.assumption.phrase}"
+    if args.format == "dot":
+        out = trace_dot(trace, f"{label}: {phrase}")
+    elif args.format == "json":
+        out = {
+            "input": label,
+            "verdict": verdict.validity.value,
+            "assumption": verdict.assumption.term,
+            "trace": trace.as_dict() if trace is not None else None,
+        }
+    elif args.command == "check":
+        out = f"{label}: {phrase}"
+    else:
+        lines = [label]
+        if verdict.validity is Validity.VALID_WITH_ASSUMPTION:
+            lines.append(f"assumption: {verdict.assumption.phrase}")
+        lines.append(f"chain: {trace.initial}")
+        lines += trace.step_lines()
+        lines += [f"normal form: {trace.normal_form}", f"verdict: {phrase}"]
+        out = "\n".join(lines)
+    return verdict.is_valid, out
+
+
 def cmd_report(args) -> int:
-    """``check`` and ``trace``: one report per input, printed as it is decided."""
+    """``check``, ``trace`` and ``parse``: one report per input, printed as it is built.
+
+    A run builds each distinct input's report once.  The label is a safe
+    key: in a corpus it is ``str(s)``, which names exactly one syllogism,
+    and a single input has only one label.
+    """
     status = 0
     payload = []
-    for label, verdict, trace, trace_dict in _reports(args):
-        if not verdict.is_valid:
+    reports: dict[str, tuple[bool, str | dict]] = {}
+    for label, s in _load_inputs(args):
+        report = reports.get(label)
+        if report is None:
+            report = reports[label] = _report(args, label, s)
+        valid, out = report
+        if not valid:
             status = 1
-        if args.format == "dot":
-            print(trace_dot(trace, f"{label}: {_verdict_phrase(verdict)}"))
-        elif args.format == "json":
-            payload.append(
-                {
-                    "input": label,
-                    "verdict": verdict.validity.value,
-                    "assumption": verdict.assumption.term,
-                    "trace": trace_dict,
-                }
-            )
-        elif args.command == "check":
-            print(f"{label}: {_verdict_phrase(verdict)}")
+        if args.format == "json":
+            payload.append(out)
         else:
-            print(label)
-            if verdict.validity is Validity.VALID_WITH_ASSUMPTION:
-                print(f"assumption: {verdict.assumption.phrase}")
-            print(f"chain: {trace.initial}")
-            for line in trace.step_lines():
-                print(line)
-            print(f"normal form: {trace.normal_form}")
-            print(f"verdict: {_verdict_phrase(verdict)}")
+            print(out)
     if args.format == "json":
-        _print_json(args, payload)
+        # a corpus prints a list, a single input its one object
+        _print_json(payload if args.corpus is not None else payload[0])
     return status
 
 
@@ -175,7 +185,7 @@ def cmd_tables(args) -> int:
             }
             for r in rows
         ]
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return 0
 
     def columns(per_figure: dict[Figure, list[str]], extra: str = "") -> list[str]:
@@ -223,7 +233,7 @@ def cmd_laws(args) -> int:
             }
             for r in results
         ]
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         for r in results:
             mark = "ok  " if r.ok else "FAIL"
@@ -241,35 +251,10 @@ def cmd_count(args) -> int:
     formula = 3 * args.n * args.n - args.n
     verdict = "match" if count == formula else "MISMATCH"
     if args.format == "json":
-        print(
-            json.dumps(
-                {"n": args.n, "count": count, "formula": formula, "match": count == formula},
-                indent=2,
-            )
-        )
+        _print_json({"n": args.n, "count": count, "formula": formula, "match": count == formula})
     else:
         print(f"n={args.n}: {count} valid syllogisms; 3n^2-n = {formula} ({verdict})")
     return 0 if count == formula else 1
-
-
-def cmd_parse(args) -> int:
-    items = _load_inputs(args)
-    if args.format == "json":
-        payload = [
-            {
-                "input": label,
-                "mood": str(s.mood),
-                "figure": s.figure.value,
-                "assumption": s.assumption.term,
-                "block": render_block(s),
-            }
-            for label, s in items
-        ]
-        _print_json(args, payload)
-    else:
-        for _label, s in items:
-            print(f"{s} = {render_block(s)}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("laws", cmd_laws, "run the square-of-opposition laws", False, ("text", "json"))
     count_p = add("count", cmd_count, "count valid n-term syllogisms", False, ("text", "json"))
     count_p.add_argument("n", type=int, help="number of terms (3 to 6)")
-    add("parse", cmd_parse, "echo the canonical forms", True, ("text", "json"))
+    add("parse", cmd_report, "echo the canonical forms", True, ("text", "json"))
     return parser
 
 

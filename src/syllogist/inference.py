@@ -13,9 +13,9 @@ subject on the left and predicate on the right.  No mirroring or term
 relabelling is applied when matching: a chain that is the mirror image of
 the conclusion swaps the roles of subject and predicate and does not
 count.  An existence assumption ("there is some X") is handled by
-splicing ``X <- * -> X`` into the premiss chain at each occurrence of X
-and reducing again; an unconditional match always wins over a conditional
-one.
+splicing ``X <- * -> X`` into the premiss chain at its occurrence of X
+(each term occurs there once) and reducing again; an unconditional match
+always wins over a conditional one.
 """
 
 from __future__ import annotations
@@ -292,8 +292,8 @@ def decide(s: Syllogism) -> Verdict:
     The bare premiss chain is tried first; an exact match of its normal
     form against the conclusion diagram is an unconditional validity even
     when an assumption was supplied.  Otherwise, if the syllogism carries
-    an assumption, the existence diagram is spliced at every occurrence of
-    the assumed term and each candidate is reduced in turn.
+    an assumption, the existence diagram is spliced at the assumed term,
+    which occurs once in the premiss chain, and the result is reduced.
     """
     chain = premiss_chain(s)
     goal = conclusion_of(s)
@@ -302,8 +302,7 @@ def decide(s: Syllogism) -> Verdict:
         return Verdict(Validity.VALID, trace=trace)
     term = s.assumption.term
     if term is not None:
-        for occurrence in range(len(chain.occurrences(term))):
-            candidate = normalize(splice_existence(chain, term, occurrence))
-            if match_conclusion(candidate.normal_form, goal):
-                return Verdict(Validity.VALID_WITH_ASSUMPTION, s.assumption, candidate)
+        candidate = normalize(splice_existence(chain, term))
+        if match_conclusion(candidate.normal_form, goal):
+            return Verdict(Validity.VALID_WITH_ASSUMPTION, s.assumption, candidate)
     return Verdict(Validity.INVALID)

@@ -146,8 +146,8 @@ def _term_token(m: re.Match, group: int, offset: int) -> str:
     raise NotationError(message, SourceSpan(offset + m.start(group), offset + m.end(group)))
 
 
-def parse_proposition(text: str, offset: int = 0) -> Proposition:
-    """Parse one of the four proposition templates."""
+def _proposition(text: str, offset: int) -> tuple[PropKind, str, str]:
+    """Kind, subject and predicate of one proposition template, terms checked."""
     m = _PROPOSITION_RE.match(text)
     kind = None
     if m is not None and m[3].lower() == "is":
@@ -164,9 +164,12 @@ def parse_proposition(text: str, offset: int = 0) -> Proposition:
         raise NotationError(
             "expected 'All X is Y', 'No X is Y', 'Some X is Y' or 'Some X is not Y'", span
         )
-    subject = _term_token(m, 2, offset)
-    predicate = _term_token(m, 4 if m[5] is None else 5, offset)
-    return Proposition(kind, subject, predicate)
+    return kind, _term_token(m, 2, offset), _term_token(m, 4 if m[5] is None else 5, offset)
+
+
+def parse_proposition(text: str, offset: int = 0) -> Proposition:
+    """Parse one of the four proposition templates."""
+    return Proposition(*_proposition(text, offset))
 
 
 _TEMPLATES = {
@@ -218,41 +221,36 @@ def parse_syllogism_block(text: str, offset: int = 0) -> Syllogism:
             whole,
         )
     (t1, o1), (t2, o2), (t3, o3) = segments
-    first = parse_proposition(t1, offset + o1)
-    second = parse_proposition(t2, offset + o2)
-    conclusion = parse_proposition(t3, offset + o3)
+    # unpacked in order, so the first bad proposition's error wins
+    (k1, s1, p1), (k2, s2, p2), (k3, subject, predicate) = (
+        _proposition(t, offset + o) for t, o in segments
+    )
 
-    subject, predicate = conclusion.subject, conclusion.predicate
     if subject == predicate:
         raise AmbiguousTerms(
             "the conclusion's subject and predicate coincide, so the term roles collapse",
             SourceSpan(offset + o3, offset + o3 + len(t3)),
         )
-    terms = {subject, predicate} | {
-        first.subject, first.predicate, second.subject, second.predicate
-    }
+    terms = {subject, predicate, s1, p1, s2, p2}
     if len(terms) != 3:
         raise NotASyllogism(
             f"a syllogism involves exactly three terms, found {len(terms)}",
             whole,
         )
     (middle,) = terms - {subject, predicate}
-    if {first.subject, first.predicate} != {middle, predicate}:
+    if {s1, p1} != {middle, predicate}:
         raise NotASyllogism(
             "the first premiss must relate the middle term and the conclusion's predicate",
             SourceSpan(offset + o1, offset + o1 + len(t1)),
         )
-    if {second.subject, second.predicate} != {middle, subject}:
+    if {s2, p2} != {middle, subject}:
         raise NotASyllogism(
             "the second premiss must relate the middle term and the conclusion's subject",
             SourceSpan(offset + o2, offset + o2 + len(t2)),
         )
 
     role = {subject: MINOR, middle: MIDDLE, predicate: MAJOR}
-    figure = figure_of(
-        (role[first.subject], role[first.predicate]),
-        (role[second.subject], role[second.predicate]),
-    )
+    figure = figure_of((role[s1], role[p1]), (role[s2], role[p2]))
 
     assumption = Assumption.NONE
     if assumed_name is not None:
@@ -263,7 +261,7 @@ def parse_syllogism_block(text: str, offset: int = 0) -> Syllogism:
             )
         assumption = Assumption(role[assumed_name])
 
-    return Syllogism(Mood(first.kind, second.kind, conclusion.kind), figure, assumption)
+    return Syllogism(Mood(k1, k2, k3), figure, assumption)
 
 
 def render_block(s: Syllogism) -> str:

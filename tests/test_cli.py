@@ -9,7 +9,7 @@ import pytest
 
 import syllogist
 from syllogist import cli, decide, normalize, parse_corpus
-from syllogist.cli import main
+from syllogist.cli import main, trace_dot
 
 
 def run(capsys, *argv):
@@ -340,8 +340,11 @@ def test_check_builds_no_bare_reduction(tmp_path, capsys, monkeypatch, fmt):
     assert calls == []
 
 
-@COMMANDS
-@FORMATS
+@pytest.mark.parametrize(
+    "fmt, command",
+    [(fmt, command) for command in ("check", "trace") for fmt in ("text", "json", "dot")]
+    + [("text", "parse"), ("json", "parse")],
+)
 def test_corpus_output_is_the_single_outputs_in_order(tmp_path, capsys, command, fmt):
     corpus = tmp_path / "repeats.syl"
     corpus.write_text(REPEATS)
@@ -352,7 +355,24 @@ def test_corpus_output_is_the_single_outputs_in_order(tmp_path, capsys, command,
         assert json.loads(out) == [json.loads(single_out) for _c, single_out, _e in singles]
     else:
         assert out == "".join(single_out for _c, single_out, _e in singles)
-    assert code == max(single_code for single_code, _o, _e in singles) == 1
+    # parse decides nothing, so it exits 0 on the invalid OEI-4
+    assert code == max(single_code for single_code, _o, _e in singles) == (command != "parse")
+
+
+def test_corpus_renders_each_distinct_syllogism_once(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "repeats.syl"
+    corpus.write_text(REPEATS)
+    calls = []
+
+    def counting_trace_dot(trace, label):
+        calls.append(label)
+        return trace_dot(trace, label)
+
+    monkeypatch.setattr(cli, "trace_dot", counting_trace_dot)
+    code, out, _ = run(capsys, "check", "--format", "dot", "--corpus", str(corpus))
+    assert code == 1
+    assert out.count("digraph") == 8
+    assert len(calls) == 4
 
 
 # --- parse ------------------------------------------------------------------

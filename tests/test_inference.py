@@ -213,12 +213,15 @@ def test_premiss_chain_ignores_the_conclusion_kind():
 
 
 def test_all_256_premiss_chains_construct():
+    # each term occurs once, so decide splices an assumption at its one occurrence
     for fig in Figure:
         for a in PropKind:
             for b in PropKind:
-                c = premiss_chain(Syllogism(Mood(a, b, PropKind.A), fig))
-                assert (c.left, c.right) == ("S", "P")
-                assert len(c.occurrences("M")) == 1
+                for c in PropKind:
+                    chain = premiss_chain(Syllogism(Mood(a, b, c), fig))
+                    assert (chain.left, chain.right) == ("S", "P")
+                    for term in "SMP":
+                        assert len(chain.occurrences(term)) == 1
 
 
 def test_normal_form_matches_at_most_one_conclusion():

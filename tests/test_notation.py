@@ -16,6 +16,7 @@ from syllogist import (
     NotASyllogism,
     NotationError,
     PropKind,
+    Proposition,
     Syllogism,
     parse_any,
     parse_compact,
@@ -112,6 +113,24 @@ def test_term_case_is_significant():
     p = parse_proposition("All Dogs is dogs")
     assert p.subject == "Dogs"
     assert p.predicate == "dogs"
+
+
+def test_block_parsing_builds_no_proposition(monkeypatch):
+    # the parser checks each term once; a Proposition would check it again
+    calls = []
+    check = Proposition.__post_init__
+
+    def counting(p):
+        calls.append(p)
+        check(p)
+
+    monkeypatch.setattr(Proposition, "__post_init__", counting)
+    s = parse_syllogism_block("All dog is animal; All puppy is dog; All puppy is animal")
+    assert s == syl("AAA-1")
+    assert len(calls) == 0
+    p = parse_proposition("All dog is animal")
+    assert len(calls) == 1
+    assert p == prop("A", "dog", "animal")
 
 
 def test_proposition_outside_the_four_templates():
