@@ -16,12 +16,12 @@ from .chains import (
     PropKind,
     Proposition,
     TermId,
+    chain_along,
     chain_from_text,
     concat,
     diagram,
     is_bullet,
     is_term,
-    join_premisses,
     splice_existence,
 )
 from .inference import (

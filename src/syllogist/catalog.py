@@ -18,9 +18,8 @@ from .chains import (
     PropKind,
     Proposition,
     TermId,
-    diagram,
+    chain_along,
     is_bullet,
-    join_premisses,
 )
 from .inference import (
     Assumption,
@@ -131,8 +130,10 @@ class LawResult:
     ok: bool
 
 
-def _law(name: str, first: Chain, second: Chain, expected: Proposition | None) -> LawResult:
-    chain = join_premisses(first, second)
+def _law(
+    name: str, start: TermId, first: Proposition, second: Proposition, expected: Proposition | None
+) -> LawResult:
+    chain = chain_along(start, (second, first))
     trace = normalize(chain)
     if expected is None:
         ok = not trace.steps
@@ -149,32 +150,28 @@ def opposition_laws() -> list[LawResult]:
     subalternation, the laws of contrariety and subcontrariety, and the
     two laws of contradiction (concluding Some A is not A).  Plus the two
     concatenations that must stay stuck, witnessing that I and O do not
-    follow from A and E unaided.
+    follow from A and E unaided.  Each law is given as the term its chain
+    starts from, its first and second premiss, and its conclusion.
     """
-
-    def d(kind: PropKind, subject: TermId, predicate: TermId) -> Chain:
-        return diagram(Proposition(kind, subject, predicate))
-
     A, E, I, O = PropKind.A, PropKind.E, PropKind.I, PropKind.O
-    e_aa = Proposition(E, "A", "A")
-    o_aa = Proposition(O, "A", "A")
-    i_ab = Proposition(I, "A", "B")
-    o_ab = Proposition(O, "A", "B")
-    e_ab = Proposition(E, "A", "B")
+    a_ab, e_ab, i_ab, o_ab = (Proposition(kind, "A", "B") for kind in (A, E, I, O))
+    a_ba, e_ba = (Proposition(kind, "B", "A") for kind in (A, E))
+    e_aa, i_aa, o_aa = (Proposition(kind, "A", "A") for kind in (E, I, O))
+    e_bb, i_bb = (Proposition(kind, "B", "B") for kind in (E, I))
 
     return [
-        _law("emptiness (converse A first)", d(A, "A", "B").dual(), d(E, "A", "B"), e_aa),
-        _law("emptiness (converse E first)", d(E, "A", "B").dual(), d(A, "A", "B"), e_aa),
-        _law("subalternation: I from A", d(A, "A", "B"), d(I, "A", "A"), i_ab),
-        _law("subalternation: I from converse A", d(I, "B", "B"), d(A, "B", "A").dual(), i_ab),
-        _law("subalternation: O from E", d(E, "A", "B"), d(I, "A", "A"), o_ab),
-        _law("subalternation: O from converse E", d(E, "B", "A").dual(), d(I, "A", "A"), o_ab),
-        _law("contrariety", d(E, "B", "B"), d(A, "A", "B"), e_ab),
-        _law("subcontrariety", d(E, "B", "B"), d(I, "A", "B"), o_ab),
-        _law("contradiction: A against O", d(A, "A", "B").dual(), d(O, "A", "B"), o_aa),
-        _law("contradiction: E against I", d(E, "A", "B").dual(), d(I, "A", "B"), o_aa),
-        _law("no I from A alone", d(E, "A", "B"), d(A, "A", "B").dual(), None),
-        _law("no O from E alone", d(A, "A", "B"), d(E, "A", "B").dual(), None),
+        _law("emptiness (converse A first)", "A", a_ab, e_ab, e_aa),
+        _law("emptiness (converse E first)", "A", e_ab, a_ab, e_aa),
+        _law("subalternation: I from A", "A", a_ab, i_aa, i_ab),
+        _law("subalternation: I from converse A", "A", i_bb, a_ba, i_ab),
+        _law("subalternation: O from E", "A", e_ab, i_aa, o_ab),
+        _law("subalternation: O from converse E", "A", e_ba, i_aa, o_ab),
+        _law("contrariety", "A", e_bb, a_ab, e_ab),
+        _law("subcontrariety", "A", e_bb, i_ab, o_ab),
+        _law("contradiction: A against O", "A", a_ab, o_ab, o_aa),
+        _law("contradiction: E against I", "A", e_ab, i_ab, o_aa),
+        _law("no I from A alone", "B", e_ab, a_ab, None),
+        _law("no O from E alone", "B", a_ab, e_ab, None),
     ]
 
 

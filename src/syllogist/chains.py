@@ -12,21 +12,26 @@ identifiers or anonymous bullet markers:
 Chains compose end to end at a shared boundary term, mirror into their
 duals (reversed node order, every arrow flipped), and admit splicing of an
 existence diagram ``t <- * -> t`` over any occurrence of the term ``t``.
+Premisses join along a path of terms: ``chain_along`` orients each one to
+continue from the chain's right end, so a syllogism of any number of terms
+and an opposition law build their chains the same way.
 
 All values are immutable; every operation returns a new chain, so values
 can be shared freely across threads.
 
 Values are checked where they enter: the public ``Chain`` constructor,
 ``chain_from_text`` and ``Proposition`` validate every term name and the
-arrow count.  Derived chains (diagrams, duals, concatenations, splices and
-reduction steps) are assembled from parts of values that were already
-checked, so they skip that validation.
+arrow count, and ``chain_along`` its start term.  Derived chains
+(diagrams, duals, concatenations, splices and reduction steps) are
+assembled from parts of values that were already checked, so they skip
+that validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 TermId = str
 
@@ -240,13 +245,19 @@ def concat(left: Chain, right: Chain) -> Chain:
     return Chain._of(left.nodes + right.nodes[1:], left.arrows + right.arrows)
 
 
-def join_premisses(first: Chain, second: Chain) -> Chain:
-    """Concatenate two premiss chains with the first premiss on the right.
+def chain_along(start: TermId, premisses: Iterable[Proposition]) -> Chain:
+    """Join premiss diagrams end to end along a path of terms from ``start``.
 
-    Premiss order in a syllogism is read off the junction from right to
-    left, so this is ``concat(second, first)``.
+    Each premiss continues the chain at its right end: it joins as written
+    when its subject is that end and as its dual otherwise, so a premiss
+    that does not touch the right end raises ``JunctionMismatch``.
     """
-    return concat(second, first)
+    _check_term(start)
+    chain = Chain._of((start,), ())
+    for p in premisses:
+        d = diagram(p)
+        chain = concat(chain, d if p.subject == chain.right else d.dual())
+    return chain
 
 
 def splice_existence(chain: Chain, term: TermId, occurrence: int = 0) -> Chain:

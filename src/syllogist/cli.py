@@ -14,7 +14,8 @@ print the same graph.
 
 All three take one syllogism or ``--corpus FILE``, never both.  The file
 is read as UTF-8 with its line breaks as written, so error spans are
-character offsets into the file, each CRLF counting as two characters.
+character offsets into the file, each CRLF counting as two characters;
+a leading byte order mark is dropped, and offsets count from after it.
 A run decides and renders each distinct syllogism once (there are 1024),
 however often a corpus repeats it, and prints one result per block.
 """
@@ -45,15 +46,16 @@ from .inference import (
 from .notation import NotationError, parse_any, parse_corpus, render_block
 
 
-def _load_inputs(args) -> list[tuple[str, Syllogism]]:
+def _load_inputs(args) -> list[Syllogism]:
     if args.corpus is not None:
-        # newline="" keeps '\r\n' as written, so spans are offsets into the file
-        with open(args.corpus, encoding="utf-8", newline="") as f:
+        # newline="" keeps '\r\n' as written, so spans are offsets into the file;
+        # utf-8-sig drops a leading byte order mark, so they count from after it
+        with open(args.corpus, encoding="utf-8-sig", newline="") as f:
             text = f.read()
-        return [(str(s), s) for s, _span in parse_corpus(text)]
+        return [s for s, _span in parse_corpus(text)]
     if args.notation is None:
         raise NotationError("nothing to parse: give a syllogism or --corpus FILE")
-    return [(args.notation, parse_any(args.notation))]
+    return [parse_any(args.notation)]
 
 
 def _print_json(obj) -> None:
@@ -87,7 +89,7 @@ def trace_dot(trace: Trace, label: str) -> str:
     return "\n".join(lines)
 
 
-def _report(args, label: str, s: Syllogism) -> tuple[bool, str | dict]:
+def _report(args, s: Syllogism) -> tuple[bool, str | dict]:
     """Whether the input is valid, and its output: printed text, or its json entry.
 
     ``parse`` only renders the canonical forms and decides nothing.  An
@@ -95,6 +97,7 @@ def _report(args, label: str, s: Syllogism) -> tuple[bool, str | dict]:
     its bare reduction instead, and ``check`` in text or json, which never
     shows it, does not build it.
     """
+    label = str(s) if args.corpus is not None else args.notation
     if args.command == "parse":
         if args.format == "json":
             return True, {
@@ -137,17 +140,15 @@ def _report(args, label: str, s: Syllogism) -> tuple[bool, str | dict]:
 def cmd_report(args) -> int:
     """``check``, ``trace`` and ``parse``: one report per input, printed as it is built.
 
-    A run builds each distinct input's report once.  The label is a safe
-    key: in a corpus it is ``str(s)``, which names exactly one syllogism,
-    and a single input has only one label.
+    A run builds each distinct input's report once.
     """
     status = 0
     payload = []
-    reports: dict[str, tuple[bool, str | dict]] = {}
-    for label, s in _load_inputs(args):
-        report = reports.get(label)
+    reports: dict[Syllogism, tuple[bool, str | dict]] = {}
+    for s in _load_inputs(args):
+        report = reports.get(s)
         if report is None:
-            report = reports[label] = _report(args, label, s)
+            report = reports[s] = _report(args, s)
         valid, out = report
         if not valid:
             status = 1

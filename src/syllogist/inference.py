@@ -28,7 +28,7 @@ from .chains import (
     PropKind,
     Proposition,
     TermId,
-    concat,
+    chain_along,
     diagram,
     is_term,
     splice_existence,
@@ -270,20 +270,9 @@ def assumption_proposition(s: Syllogism) -> Proposition | None:
 
 
 def premiss_chain(s: Syllogism) -> Chain:
-    """Join the premiss diagrams into one chain running from S to P.
-
-    A premiss whose written order does not already run toward the S..M..P
-    spine is replaced by its dual: the first premiss must read M..P and
-    the second S..M before they meet at the single M node.
-    """
+    """The premiss diagrams joined along S, M, P: the second premiss, then the first."""
     first, second = premisses_of(s)
-    d1 = diagram(first)
-    if first.subject != MIDDLE:
-        d1 = d1.dual()
-    d2 = diagram(second)
-    if second.predicate != MIDDLE:
-        d2 = d2.dual()
-    return concat(d2, d1)
+    return chain_along(MINOR, (second, first))
 
 
 def decide(s: Syllogism) -> Verdict:

@@ -10,14 +10,19 @@ from syllogist import (
     TermNotInChain,
     UnsupportedN,
     Validity,
+    VennSpace,
     all_moods,
+    chain_along,
     check_rules,
     count_valid_nterm,
     diagram,
     enumerate_all,
+    match_conclusion,
     mutually_excluded,
+    normalize,
     opposition_laws,
     space_for,
+    splice_existence,
 )
 
 from test_chains import ch, prop
@@ -96,6 +101,23 @@ def test_law_counts_by_kind():
     results = opposition_laws()
     assert sum(1 for r in results if r.expected is not None) == 10
     assert sum(1 for r in results if r.expected is None) == 2
+
+
+def test_law_chains():
+    assert [(r.name, str(r.chain)) for r in opposition_laws()] == [
+        ("emptiness (converse A first)", "A -> * <- B <- A"),
+        ("emptiness (converse E first)", "A -> B -> * <- A"),
+        ("subalternation: I from A", "A <- * -> A -> B"),
+        ("subalternation: I from converse A", "A <- B <- * -> B"),
+        ("subalternation: O from E", "A <- * -> A -> * <- B"),
+        ("subalternation: O from converse E", "A <- * -> A -> * <- B"),
+        ("contrariety", "A -> B -> * <- B"),
+        ("subcontrariety", "A <- * -> B -> * <- B"),
+        ("contradiction: A against O", "A <- * -> * <- B <- A"),
+        ("contradiction: E against I", "A <- * -> B -> * <- A"),
+        ("no I from A alone", "B <- A -> * <- B"),
+        ("no O from E alone", "B -> * <- A -> B"),
+    ]
 
 
 def test_subalternation_law_shape():
@@ -189,6 +211,34 @@ def test_one_assumption_or_all_of_them(n):
     for premisses, conclusion in candidates:
         alone = any(space.entails(premisses, conclusion, extra) for extra in [(), *singles])
         assert alone == space.entails(premisses, conclusion, existence), (premisses, conclusion)
+
+
+def _calculates(chain, conclusion, term=None):
+    """The bare match wins first; otherwise, given a term, splice its existence and match."""
+    if match_conclusion(normalize(chain).normal_form, conclusion):
+        return True
+    if term is None:
+        return False
+    return match_conclusion(normalize(splice_existence(chain, term)).normal_form, conclusion)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_calculus_agrees_with_the_venn_oracle_beyond_three_terms(n):
+    # every candidate of the n-term count, its premisses chained along T1..Tn
+    terms, existence, candidates = count_queries(n)
+    venn = VennSpace(terms)
+    bare = assumed = 0
+    for premisses, conclusion in candidates:
+        chain = chain_along(terms[0], premisses)
+        valid_bare = _calculates(chain, conclusion)
+        assert valid_bare == venn.entails(premisses, conclusion), (premisses, conclusion)
+        valid_under = [_calculates(chain, conclusion, t) for t in terms]
+        for valid, e in zip(valid_under, existence):
+            assert valid == venn.entails(premisses, conclusion, (e,)), (premisses, conclusion, e)
+        bare += valid_bare
+        assumed += any(valid_under)
+    assert bare == count_valid_nterm(n, with_assumptions=False) == 2 * n * n - n
+    assert assumed == count_valid_nterm(n) == 3 * n * n - n
 
 
 def test_unsupported_n():

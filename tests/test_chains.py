@@ -14,10 +14,10 @@ from syllogist import (
     NoSuchOccurrence,
     PropKind,
     Proposition,
+    chain_along,
     chain_from_text,
     concat,
     diagram,
-    join_premisses,
     normalize,
     reduce_at,
     reducible_positions,
@@ -143,19 +143,30 @@ def test_concat_rejects_bullet_junction():
         concat(ch("S -> *"), ch("* -> P"))
 
 
-def test_join_premisses_puts_the_first_on_the_right():
-    joined = join_premisses(diagram(prop("A", "M", "P")), diagram(prop("A", "S", "M")))
+def test_chain_along_joins_premisses_as_written():
+    joined = chain_along("S", (prop("A", "S", "M"), prop("A", "M", "P")))
     assert str(joined) == "S -> M -> P"
 
 
-def test_join_premisses_with_dualized_first():
-    joined = join_premisses(diagram(prop("A", "P", "M")).dual(), diagram(prop("E", "S", "M")))
+def test_chain_along_dualizes_a_premiss_ending_at_the_junction():
+    joined = chain_along("S", (prop("E", "S", "M"), prop("A", "P", "M")))
     assert str(joined) == "S -> * <- M <- P"
 
 
-def test_join_self_on_shared_endpoint():
-    c = diagram(prop("A", "A", "A"))
-    assert str(join_premisses(c, c)) == "A -> A -> A"
+def test_chain_along_self_on_shared_endpoint():
+    c = prop("A", "A", "A")
+    assert str(chain_along("A", (c, c))) == "A -> A -> A"
+
+
+def test_chain_along_rejects_a_premiss_off_the_right_end():
+    with pytest.raises(JunctionMismatch):
+        chain_along("S", (prop("A", "S", "M"), prop("A", "S", "P")))
+
+
+def test_chain_along_rejects_a_bad_start():
+    for bad in ("", "*", "two words", None):
+        with pytest.raises(ChainError):
+            chain_along(bad, ())
 
 
 def test_concat_bullet_count_is_additive():
@@ -285,4 +296,8 @@ def test_derived_chains_pass_full_validation(c, other):
 
 @given(st.sampled_from(list(PropKind)), terms, terms)
 def test_diagrams_pass_full_validation(kind, subject, predicate):
-    assert_as_if_validated(diagram(Proposition(kind, subject, predicate)))
+    p = Proposition(kind, subject, predicate)
+    assert_as_if_validated(diagram(p))
+    assert_as_if_validated(chain_along(subject, ()))
+    assert_as_if_validated(chain_along(subject, (p,)))
+    assert_as_if_validated(chain_along(predicate, (p,)))

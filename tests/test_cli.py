@@ -278,6 +278,18 @@ def test_corpus_that_is_not_utf8(tmp_path, capsys):
     assert "utf-8" in err
 
 
+@pytest.mark.parametrize("text", ["AAA-1\n\nEAE-1\n", "AAA-1\n\nAAB-1\n"])
+def test_corpus_with_a_byte_order_mark(tmp_path, capsys, text):
+    # spans count characters after the mark, so both files report the same
+    plain, marked = tmp_path / "plain.syl", tmp_path / "bom.syl"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert run(capsys, "check", "--corpus", str(marked)) == run(
+        capsys, "check", "--corpus", str(plain)
+    )
+
+
 def test_corpus_missing_file(capsys):
     code, _, err = run(capsys, "check", "--corpus", "/no/such/file")
     assert code == 2
@@ -357,6 +369,21 @@ def test_corpus_output_is_the_single_outputs_in_order(tmp_path, capsys, command,
         assert out == "".join(single_out for _c, single_out, _e in singles)
     # parse decides nothing, so it exits 0 on the invalid OEI-4
     assert code == max(single_code for single_code, _o, _e in singles) == (command != "parse")
+
+
+def test_corpus_labels_each_distinct_syllogism_once(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "repeats.syl"
+    corpus.write_text(REPEATS)
+    calls = []
+    to_text = syllogist.Syllogism.__str__
+
+    def counting_str(s):
+        calls.append(s)
+        return to_text(s)
+
+    monkeypatch.setattr(syllogist.Syllogism, "__str__", counting_str)
+    assert run(capsys, "check", "--corpus", str(corpus))[0] == 1
+    assert len(calls) == 4
 
 
 def test_corpus_renders_each_distinct_syllogism_once(tmp_path, capsys, monkeypatch):
