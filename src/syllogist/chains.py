@@ -245,6 +245,16 @@ def concat(left: Chain, right: Chain) -> Chain:
     return Chain._of(left.nodes + right.nodes[1:], left.arrows + right.arrows)
 
 
+def _oriented(p: Proposition, end: TermId) -> Chain:
+    """The diagram of ``p`` read from ``end``: as written, or its dual."""
+    d = diagram(p)
+    if p.subject == end:
+        return d
+    if p.predicate == end:
+        return d.dual()
+    raise JunctionMismatch(f"{p} does not continue a chain that ends at {end!r}")
+
+
 def chain_along(start: TermId, premisses: Iterable[Proposition]) -> Chain:
     """Join premiss diagrams end to end along a path of terms from ``start``.
 
@@ -253,10 +263,13 @@ def chain_along(start: TermId, premisses: Iterable[Proposition]) -> Chain:
     that does not touch the right end raises ``JunctionMismatch``.
     """
     _check_term(start)
-    chain = Chain._of((start,), ())
+    premisses = iter(premisses)
+    first = next(premisses, None)
+    if first is None:
+        return Chain._of((start,), ())
+    chain = _oriented(first, start)
     for p in premisses:
-        d = diagram(p)
-        chain = concat(chain, d if p.subject == chain.right else d.dual())
+        chain = concat(chain, _oriented(p, chain.right))
     return chain
 
 

@@ -17,7 +17,10 @@ is read as UTF-8 with its line breaks as written, so error spans are
 character offsets into the file, each CRLF counting as two characters;
 a leading byte order mark is dropped, and offsets count from after it.
 A run decides and renders each distinct syllogism once (there are 1024),
-however often a corpus repeats it, and prints one result per block.
+however often a corpus repeats it, and prints one result per block.  A
+corpus parses each distinct block text once, and ``--format json``
+encodes each distinct entry once; the list it prints is the text of
+``json.dumps(entries, indent=2)``.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ def _load_inputs(args) -> list[Syllogism]:
     return [parse_any(args.notation)]
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2)
 
 
 def _dot_chain_lines(tag: str, title: str, chain) -> list[str]:
@@ -89,8 +92,8 @@ def trace_dot(trace: Trace, label: str) -> str:
     return "\n".join(lines)
 
 
-def _report(args, s: Syllogism) -> tuple[bool, str | dict]:
-    """Whether the input is valid, and its output: printed text, or its json entry.
+def _report(args, s: Syllogism) -> tuple[bool, str]:
+    """Whether the input is valid, and its output as printed for a single input.
 
     ``parse`` only renders the canonical forms and decides nothing.  An
     invalid verdict carries no trace: ``trace`` and ``--format dot`` show
@@ -100,13 +103,13 @@ def _report(args, s: Syllogism) -> tuple[bool, str | dict]:
     label = str(s) if args.corpus is not None else args.notation
     if args.command == "parse":
         if args.format == "json":
-            return True, {
+            return True, _json({
                 "input": label,
                 "mood": str(s.mood),
                 "figure": s.figure.value,
                 "assumption": s.assumption.term,
                 "block": render_block(s),
-            }
+            })
         return True, f"{s} = {render_block(s)}"
     verdict = decide(s)
     trace = verdict.trace
@@ -118,12 +121,12 @@ def _report(args, s: Syllogism) -> tuple[bool, str | dict]:
     if args.format == "dot":
         out = trace_dot(trace, f"{label}: {phrase}")
     elif args.format == "json":
-        out = {
+        out = _json({
             "input": label,
             "verdict": verdict.validity.value,
             "assumption": verdict.assumption.term,
             "trace": trace.as_dict() if trace is not None else None,
-        }
+        })
     elif args.command == "check":
         out = f"{label}: {phrase}"
     else:
@@ -140,25 +143,32 @@ def _report(args, s: Syllogism) -> tuple[bool, str | dict]:
 def cmd_report(args) -> int:
     """``check``, ``trace`` and ``parse``: one report per input, printed as it is built.
 
-    A run builds each distinct input's report once.
+    A run builds each distinct input's report once.  A corpus in json
+    prints one list, assembled from each distinct entry's text.
     """
     status = 0
-    payload = []
-    reports: dict[Syllogism, tuple[bool, str | dict]] = {}
+    entries = []
+    json_list = args.format == "json" and args.corpus is not None
+    reports: dict[Syllogism, tuple[bool, str]] = {}
     for s in _load_inputs(args):
         report = reports.get(s)
         if report is None:
-            report = reports[s] = _report(args, s)
+            valid, out = _report(args, s)
+            if json_list:
+                # json.dumps escapes every newline inside a string, so each raw
+                # "\n" is structural: indenting after it nests the entry one level
+                out = out.replace("\n", "\n  ")
+            report = reports[s] = valid, out
         valid, out = report
         if not valid:
             status = 1
-        if args.format == "json":
-            payload.append(out)
+        if json_list:
+            entries.append(out)
         else:
             print(out)
-    if args.format == "json":
-        # a corpus prints a list, a single input its one object
-        _print_json(payload if args.corpus is not None else payload[0])
+    if json_list:
+        # the text json.dumps gives the list of entries, with indent=2
+        print("[\n  " + ",\n  ".join(entries) + "\n]" if entries else "[]")
     return status
 
 
@@ -186,7 +196,7 @@ def cmd_tables(args) -> int:
             }
             for r in rows
         ]
-        _print_json(payload)
+        print(_json(payload))
         return 0
 
     def columns(per_figure: dict[Figure, list[str]], extra: str = "") -> list[str]:
@@ -234,7 +244,7 @@ def cmd_laws(args) -> int:
             }
             for r in results
         ]
-        _print_json(payload)
+        print(_json(payload))
     else:
         for r in results:
             mark = "ok  " if r.ok else "FAIL"
@@ -252,7 +262,7 @@ def cmd_count(args) -> int:
     formula = 3 * args.n * args.n - args.n
     verdict = "match" if count == formula else "MISMATCH"
     if args.format == "json":
-        _print_json({"n": args.n, "count": count, "formula": formula, "match": count == formula})
+        print(_json({"n": args.n, "count": count, "formula": formula, "match": count == formula}))
     else:
         print(f"n={args.n}: {count} valid syllogisms; 3n^2-n = {formula} ({verdict})")
     return 0 if count == formula else 1

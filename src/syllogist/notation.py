@@ -287,14 +287,22 @@ def parse_corpus(text: str) -> list[tuple[Syllogism, SourceSpan]]:
     """Parse a corpus file: one syllogism per blank-line-separated block.
 
     Blocks that hold only comments are skipped; every other block goes
-    through ``parse_any``.
+    through ``parse_any``, once per distinct text.
     """
     results = []
+    # a parse does not depend on the offset, and only blocks that parse are
+    # kept, so a repeated text reuses its syllogism and the first bad block
+    # still raises at its own span
+    parsed: dict[str, Syllogism] = {}
     start = 0
-    for _blank, group in groupby(text.splitlines(keepends=True), key=str.isspace):
+    for blank, group in groupby(text.splitlines(keepends=True), key=str.isspace):
         block = "".join(group)
         end = start + len(block)
-        if _COMMENT_RE.sub("", block).strip():
-            results.append((parse_any(block, start), SourceSpan(start, end)))
+        if not blank:
+            s = parsed.get(block)
+            if s is None and _COMMENT_RE.sub("", block).strip():
+                s = parsed[block] = parse_any(block, start)
+            if s is not None:
+                results.append((s, SourceSpan(start, end)))
         start = end
     return results

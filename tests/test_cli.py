@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import syllogist
-from syllogist import cli, decide, normalize, parse_corpus
+from syllogist import cli, decide, normalize, parse_any, parse_corpus, premiss_chain, render_block
 from syllogist.cli import main, trace_dot
 
 
@@ -399,6 +399,70 @@ def test_corpus_renders_each_distinct_syllogism_once(tmp_path, capsys, monkeypat
     code, out, _ = run(capsys, "check", "--format", "dot", "--corpus", str(corpus))
     assert code == 1
     assert out.count("digraph") == 8
+    assert len(calls) == 4
+
+
+def json_entry(command, s, label):
+    """The json object the CLI prints for one input, built from the library."""
+    if command == "parse":
+        return {
+            "input": label,
+            "mood": str(s.mood),
+            "figure": s.figure.value,
+            "assumption": s.assumption.term,
+            "block": render_block(s),
+        }
+    verdict = decide(s)
+    trace = verdict.trace
+    if trace is None and command == "trace":
+        trace = normalize(premiss_chain(s))
+    return {
+        "input": label,
+        "verdict": verdict.validity.value,
+        "assumption": verdict.assumption.term,
+        "trace": trace.as_dict() if trace is not None else None,
+    }
+
+
+JSON_COMMANDS = pytest.mark.parametrize("command", ["check", "trace", "parse"])
+
+
+@JSON_COMMANDS
+@pytest.mark.parametrize("text", [REPEATS, "", "EAO-3 +M\n"], ids=["repeats", "empty", "one-block"])
+def test_corpus_json_is_the_text_of_json_dumps(tmp_path, capsys, command, text):
+    corpus = tmp_path / "corpus.syl"
+    corpus.write_text(text)
+    expected = [json_entry(command, s, str(s)) for s, _span in parse_corpus(text)]
+    out = run(capsys, command, "--format", "json", "--corpus", str(corpus))[1]
+    assert out == json.dumps(expected, indent=2) + "\n"
+    if not text:
+        assert out == "[]\n"
+
+
+@JSON_COMMANDS
+@pytest.mark.parametrize(
+    "notation", ['AAA-1 # "x\\y"', "Some tall is not fish; No fish is cat; Some cat is tall"]
+)
+def test_single_json_is_the_text_of_json_dumps(capsys, command, notation):
+    out = run(capsys, command, "--format", "json", notation)[1]
+    expected = json_entry(command, parse_any(notation), notation)
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_corpus_json_encodes_each_distinct_entry_once(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "repeats.syl"
+    corpus.write_text(REPEATS)
+    calls = []
+    dumps = json.dumps
+
+    def counting_dumps(obj, **kwargs):
+        calls.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", counting_dumps)
+    code, out, _ = run(capsys, "trace", "--format", "json", "--corpus", str(corpus))
+    assert code == 1
+    assert out.count('"input"') == 8
     assert len(calls) == 4
 
 

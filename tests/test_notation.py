@@ -2,6 +2,7 @@
 
 import re
 import sys
+from itertools import groupby
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,9 @@ from syllogist import (
     NotationError,
     PropKind,
     Proposition,
+    SourceSpan,
     Syllogism,
+    notation,
     parse_any,
     parse_compact,
     parse_corpus,
@@ -340,6 +343,69 @@ def test_parse_corpus_keeps_the_line_after_a_comment():
     # the block holds two lines, so it is not a syllogism; EIO-1 must not vanish
     with pytest.raises(NotASyllogism):
         parse_corpus("AAA-1 # c\x0cEIO-1\n\nEAE-1\n")
+
+
+def test_parse_corpus_parses_each_distinct_block_once(monkeypatch):
+    text = "AAA-1\n\nEAE-1\n\nAAA-1\n\nAAA-1\n\nEAE-1\n"
+    calls = []
+
+    def counting_parse_any(block, offset=0):
+        calls.append(block)
+        return parse_any(block, offset)
+
+    monkeypatch.setattr(notation, "parse_any", counting_parse_any)
+    parsed = parse_corpus(text)
+    assert calls == ["AAA-1\n", "EAE-1\n"]
+    assert [(str(s), span.start, span.end) for s, span in parsed] == [
+        ("AAA-1", 0, 6),
+        ("EAE-1", 7, 13),
+        ("AAA-1", 14, 20),
+        ("AAA-1", 21, 27),
+        ("EAE-1", 28, 34),
+    ]
+
+
+def test_parse_corpus_reports_a_bad_block_after_repeats_at_its_own_span():
+    text = "AAA-1\n\nAAA-1\n\nAAA-1\n\nAAB-1\n\nAAB-1\n"
+    with pytest.raises(BadMoodLetter) as exc:
+        parse_corpus(text)
+    assert (exc.value.span.start, exc.value.span.end) == (text.index("B"), text.index("B") + 1)
+
+
+def _parse_every_block(text):
+    """``parse_corpus`` with no memo: every block through ``parse_any``."""
+    results = []
+    start = 0
+    for _blank, group in groupby(text.splitlines(keepends=True), key=str.isspace):
+        block = "".join(group)
+        end = start + len(block)
+        if notation._COMMENT_RE.sub("", block).strip():
+            results.append((parse_any(block, start), SourceSpan(start, end)))
+        start = end
+    return results
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except NotationError as exc:
+        return type(exc), exc.span
+
+
+_MEMO_BLOCKS = [
+    "AAA-1", "EAO-3 +M", "All M is P\nAll S is M\nAll S is P", "AAA-1 # note",
+    "Some tall is not fish; No fish is cat; Some cat is tall", "# only a comment",
+    "AAB-1", "AAA-9", "All M is P; All S is M", "No x is y; Some y is x; Some x is x",
+]
+_MEMO_GAPS = ["\n\n", "\r\n\r\n", "\n \t\n", "\u2028\u2028", "\n", ""]
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(_MEMO_BLOCKS), st.sampled_from(_MEMO_GAPS)), max_size=12)
+)
+def test_parse_corpus_equals_a_parse_of_every_block(blocks):
+    text = "".join(block + gap for block, gap in blocks)
+    assert _outcome(parse_corpus, text) == _outcome(_parse_every_block, text)
 
 
 # every line break str.splitlines knows, found by asking it, not from the parser
