@@ -4,6 +4,10 @@ Syllogisms are decided two independent ways: by reducing oriented chain
 diagrams to a normal form and matching the conclusion's shape, and by
 exhaustively enumerating region models as a semantic oracle.  The catalog
 module runs both over every mood and figure and checks they agree.
+
+The calculus and the notation load with the package.  The names of the
+oracle (``regions``) and the catalog load on first use (PEP 562), so a
+process that only decides or parses never imports them.
 """
 
 from .chains import (
@@ -47,31 +51,6 @@ from .inference import (
     reduce_at,
     reducible_positions,
 )
-from .regions import (
-    MAX_TERMS,
-    ModelSpace,
-    RegionModel,
-    TooManyTerms,
-    UnknownTerm,
-    VennSpace,
-    eval_proposition,
-    semantic_verdict,
-    space_for,
-)
-from .catalog import (
-    MAX_COUNT_TERMS,
-    LawResult,
-    TableRow,
-    TermNotInChain,
-    UnsupportedN,
-    all_moods,
-    all_syllogisms,
-    check_rules,
-    count_valid_nterm,
-    enumerate_all,
-    mutually_excluded,
-    opposition_laws,
-)
 from .notation import (
     AmbiguousTerms,
     BadFigure,
@@ -90,3 +69,44 @@ from .notation import (
 )
 
 __version__ = "0.1.0"
+
+# the names that load on first use, by module
+_REGIONS = frozenset({
+    "MAX_TERMS",
+    "ModelSpace",
+    "RegionModel",
+    "TooManyTerms",
+    "UnknownTerm",
+    "VennSpace",
+    "eval_proposition",
+    "semantic_verdict",
+    "space_for",
+})
+_CATALOG = frozenset({
+    "MAX_COUNT_TERMS",
+    "LawResult",
+    "TableRow",
+    "TermNotInChain",
+    "UnsupportedN",
+    "all_moods",
+    "all_syllogisms",
+    "check_rules",
+    "count_valid_nterm",
+    "enumerate_all",
+    "mutually_excluded",
+    "opposition_laws",
+})
+
+
+def __getattr__(name: str):
+    if name in _REGIONS:
+        from . import regions as module
+    elif name in _CATALOG:
+        from . import catalog as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _REGIONS | _CATALOG)

@@ -9,7 +9,6 @@ obtained by reducing their premiss chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .chains import (
@@ -18,6 +17,7 @@ from .chains import (
     PropKind,
     Proposition,
     TermId,
+    _Value,
     chain_along,
     is_bullet,
 )
@@ -47,13 +47,15 @@ class UnsupportedN(ValueError):
 # Full enumeration: calculus versus oracle
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(_Value):
     """One syllogism with both verdicts side by side."""
 
-    syllogism: Syllogism
-    calculus: Verdict
-    oracle: Verdict
+    __slots__ = ("syllogism", "calculus", "oracle")
+
+    def __init__(self, syllogism: Syllogism, calculus: Verdict, oracle: Verdict) -> None:
+        object.__setattr__(self, "syllogism", syllogism)
+        object.__setattr__(self, "calculus", calculus)
+        object.__setattr__(self, "oracle", oracle)
 
     @property
     def agree(self) -> bool:
@@ -115,19 +117,23 @@ def check_rules(s: Syllogism) -> list[int]:
 # Square-of-opposition laws
 
 
-@dataclass(frozen=True)
-class LawResult:
+class LawResult(_Value):
     """One named inference: its premiss chain and whether it worked out.
 
     ``expected`` is the conclusion the chain must reduce to; ``None``
     marks the chains that must not reduce at all.
     """
 
-    name: str
-    chain: Chain
-    expected: Proposition | None
-    trace: Trace
-    ok: bool
+    __slots__ = ("name", "chain", "expected", "trace", "ok")
+
+    def __init__(
+        self, name: str, chain: Chain, expected: Proposition | None, trace: Trace, ok: bool
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "ok", ok)
 
 
 def _law(

@@ -17,7 +17,9 @@ continue from the chain's right end, so a syllogism of any number of terms
 and an opposition law build their chains the same way.
 
 All values are immutable; every operation returns a new chain, so values
-can be shared freely across threads.
+can be shared freely across threads.  The package's value classes share
+one small base, ``_Value``, rather than ``dataclasses``, so importing the
+package stays cheap.
 
 Values are checked where they enter: the public ``Chain`` constructor,
 ``chain_from_text`` and ``Proposition`` validate every term name and the
@@ -29,9 +31,8 @@ that validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable
 
 TermId = str
 
@@ -46,6 +47,45 @@ class JunctionMismatch(ChainError):
 
 class NoSuchOccurrence(ChainError):
     """The requested occurrence of a term is absent from the chain."""
+
+
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields in ``__slots__``, in order, and sets them
+    in its ``__init__`` through ``object.__setattr__``.  Equality and
+    hashing go by class and field values, ``repr`` reads
+    ``Name(field=value, ...)``, and copying and pickling rebuild the value
+    through its constructor, so its checks run again.  The classes that
+    are hashed or compared on every call override ``__eq__`` and
+    ``__hash__`` with explicit field tuples, which are faster.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
 
 
 class _Bullet:
@@ -120,8 +160,7 @@ class PropKind(Enum):
         return not self.affirmative
 
 
-@dataclass(frozen=True)
-class Proposition:
+class Proposition(_Value):
     """A categorical proposition: kind plus subject and predicate terms.
 
     Subject and predicate may coincide; the degenerate forms over a single
@@ -129,28 +168,45 @@ class Proposition:
     calculus.
     """
 
-    kind: PropKind
-    subject: TermId
-    predicate: TermId
+    __slots__ = ("kind", "subject", "predicate")
+
+    def __init__(self, kind: PropKind, subject: TermId, predicate: TermId) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "predicate", predicate)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_term(self.subject)
         _check_term(self.predicate)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.subject, self.predicate) == (
+            other.kind, other.subject, other.predicate
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.subject, self.predicate))
+
     def __str__(self) -> str:
         return f"{self.kind.value}({self.subject},{self.predicate})"
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(_Value):
     """A sequence of nodes joined by oriented arrows.
 
     ``arrows[i]`` joins ``nodes[i]`` and ``nodes[i + 1]``; RIGHT points at
     the right neighbour, LEFT at the left one.
     """
 
-    nodes: tuple[Node, ...]
-    arrows: tuple[Arrow, ...]
+    __slots__ = ("nodes", "arrows")
+
+    def __init__(self, nodes: tuple[Node, ...], arrows: tuple[Arrow, ...]) -> None:
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "arrows", arrows)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -182,6 +238,14 @@ class Chain:
         object.__setattr__(chain, "nodes", nodes)
         object.__setattr__(chain, "arrows", arrows)
         return chain
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nodes, self.arrows) == (other.nodes, other.arrows)
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.arrows))
 
     def __len__(self) -> int:
         return len(self.nodes)

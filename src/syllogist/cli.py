@@ -21,20 +21,17 @@ however often a corpus repeats it, and prints one result per block.  A
 corpus parses each distinct block text once, and ``--format json``
 encodes each distinct entry once; the list it prints is the text of
 ``json.dumps(entries, indent=2)``.
+
+A process imports what its command runs: the catalog and the oracle
+only for ``tables``, ``laws`` and ``count``, ``json`` only for
+``--format json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .catalog import (
-    UnsupportedN,
-    count_valid_nterm,
-    enumerate_all,
-    opposition_laws,
-)
 from .chains import ChainError, is_bullet
 from .inference import (
     Assumption,
@@ -62,6 +59,8 @@ def _load_inputs(args) -> list[Syllogism]:
 
 
 def _json(obj) -> str:
+    import json
+
     return json.dumps(obj, indent=2)
 
 
@@ -183,6 +182,8 @@ def _by_figure(rows, assumption: Assumption, validity: Validity) -> dict[Figure,
 
 
 def cmd_tables(args) -> int:
+    from .catalog import enumerate_all
+
     rows = enumerate_all()
     if args.format == "json":
         payload = [
@@ -230,6 +231,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_laws(args) -> int:
+    from .catalog import opposition_laws
+
     results = opposition_laws()
     derivations = [r for r in results if r.expected is not None]
     stuck = [r for r in results if r.expected is None]
@@ -258,7 +261,12 @@ def cmd_laws(args) -> int:
 
 
 def cmd_count(args) -> int:
-    count = count_valid_nterm(args.n)
+    from .catalog import UnsupportedN, count_valid_nterm
+
+    try:
+        count = count_valid_nterm(args.n)
+    except UnsupportedN as err:
+        return _fail(err)
     formula = 3 * args.n * args.n - args.n
     verdict = "match" if count == formula else "MISMATCH"
     if args.format == "json":
@@ -274,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide categorical syllogisms by chain reduction, "
         "cross-checked against exhaustive region models.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the prog argparse would compute, given so that it builds no help
+    # formatter (and imports no shutil) unless help or an error is printed
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
 
     def add(name: str, func, help_text: str, notation: bool, formats: tuple[str, ...]):
         p = sub.add_parser(name, help=help_text)
@@ -302,17 +312,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(err: Exception, where: str = "") -> int:
+    print(f"error: {err}{where}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NotationError as err:
-        where = f" (chars {err.span.start}..{err.span.end})" if err.span else ""
-        print(f"error: {err}{where}", file=sys.stderr)
-        return 2
-    except (UnsupportedN, ChainError, OSError, UnicodeDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _fail(err, f" (chars {err.span.start}..{err.span.end})" if err.span else "")
+    except (ChainError, OSError, UnicodeDecodeError) as err:
+        return _fail(err)
 
 
 def run() -> None:

@@ -20,7 +20,6 @@ always wins over a conditional one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 from .chains import (
@@ -28,6 +27,7 @@ from .chains import (
     PropKind,
     Proposition,
     TermId,
+    _Value,
     chain_along,
     diagram,
     is_term,
@@ -70,13 +70,25 @@ _ROLE_PROPOSITIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Mood:
+class Mood(_Value):
     """Kinds of the two premisses and the conclusion, in that order."""
 
-    first: PropKind
-    second: PropKind
-    conclusion: PropKind
+    __slots__ = ("first", "second", "conclusion")
+
+    def __init__(self, first: PropKind, second: PropKind, conclusion: PropKind) -> None:
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+        object.__setattr__(self, "conclusion", conclusion)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.first, self.second, self.conclusion) == (
+            other.first, other.second, other.conclusion
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.first, self.second, self.conclusion))
 
     @classmethod
     def from_text(cls, letters: str) -> "Mood":
@@ -105,13 +117,27 @@ class Assumption(Enum):
         return None if self is Assumption.NONE else f"there is some {self.value}"
 
 
-@dataclass(frozen=True)
-class Syllogism:
+class Syllogism(_Value):
     """A mood and figure, optionally with an assumption of existence."""
 
-    mood: Mood
-    figure: Figure
-    assumption: Assumption = Assumption.NONE
+    __slots__ = ("mood", "figure", "assumption")
+
+    def __init__(
+        self, mood: Mood, figure: Figure, assumption: Assumption = Assumption.NONE
+    ) -> None:
+        object.__setattr__(self, "mood", mood)
+        object.__setattr__(self, "figure", figure)
+        object.__setattr__(self, "assumption", assumption)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.mood, self.figure, self.assumption) == (
+            other.mood, other.figure, other.assumption
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.mood, self.figure, self.assumption))
 
     def __str__(self) -> str:
         text = f"{self.mood}-{self.figure.value}"
@@ -120,23 +146,29 @@ class Syllogism:
         return text
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(_Value):
     """One deletion: the node index removed and the chains around it."""
 
-    position: int
-    deleted_term: TermId
-    before: Chain
-    after: Chain
+    __slots__ = ("position", "deleted_term", "before", "after")
+
+    def __init__(self, position: int, deleted_term: TermId, before: Chain, after: Chain) -> None:
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "deleted_term", deleted_term)
+        object.__setattr__(self, "before", before)
+        object.__setattr__(self, "after", after)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(_Value):
     """A full reduction run from an initial chain to its normal form."""
 
-    initial: Chain
-    steps: tuple[ReductionStep, ...]
-    normal_form: Chain
+    __slots__ = ("initial", "steps", "normal_form")
+
+    def __init__(
+        self, initial: Chain, steps: tuple[ReductionStep, ...], normal_form: Chain
+    ) -> None:
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "normal_form", normal_form)
 
     def step_lines(self) -> list[str]:
         return [
@@ -166,17 +198,25 @@ class Validity(Enum):
     VALID_WITH_ASSUMPTION = "valid-with-assumption"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Value):
     """Outcome of deciding a syllogism, with the witnessing trace if any.
 
     A verdict names an assumption exactly when its validity is
     ``VALID_WITH_ASSUMPTION``; any other combination raises ``ValueError``.
     """
 
-    validity: Validity
-    assumption: Assumption = Assumption.NONE
-    trace: Trace | None = None
+    __slots__ = ("validity", "assumption", "trace")
+
+    def __init__(
+        self,
+        validity: Validity,
+        assumption: Assumption = Assumption.NONE,
+        trace: Trace | None = None,
+    ) -> None:
+        object.__setattr__(self, "validity", validity)
+        object.__setattr__(self, "assumption", assumption)
+        object.__setattr__(self, "trace", trace)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         conditional = self.validity is Validity.VALID_WITH_ASSUMPTION

@@ -9,9 +9,9 @@ Two surface forms are supported:
   ``All M is P; All S is M; All S is P``.
 
 Propositions use exactly the four templates ``All X is Y``, ``No X is Y``,
-``Some X is Y`` and ``Some X is not Y``.  Keywords are case insensitive;
-term tokens are identifiers (letter first, then letters, digits or
-underscores) and keep their case.  Reserved words cannot be terms, which
+``Some X is Y`` and ``Some X is not Y``.  Keywords are case insensitive
+in ASCII only; term tokens are identifiers (letter first, then letters,
+digits or underscores) and keep their case.  Reserved words cannot be terms, which
 keeps ``is not`` unambiguous.  Corpus files hold one syllogism per block,
 blocks separated by blank lines.
 
@@ -26,10 +26,9 @@ Every parse error carries a span into the input, in character offsets
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import groupby
 
-from .chains import PropKind, Proposition
+from .chains import PropKind, Proposition, _Value
 from .inference import (
     MAJOR,
     MIDDLE,
@@ -44,12 +43,15 @@ from .inference import (
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(_Value):
     """Character offsets of the offending slice of input."""
 
-    start: int
-    end: int
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: int, end: int) -> None:
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 0 <= self.start <= self.end:
@@ -87,12 +89,22 @@ _COMPACT_RE = re.compile(
 )
 # four words, or five for 'Some X is not Y'; the templates are checked on the groups
 _PROPOSITION_RE = re.compile(r"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)(?:\s+(\S+))?\s*\Z")
-_ASSUMING_RE = re.compile(r"\s*assuming\s+some\s+(\S+)\s*$", re.IGNORECASE)
+# keywords fold ASCII case only, as the propositions' do; \s and \S stay Unicode
+_ASSUMING_RE = re.compile(r"\s*(?ai:assuming)\s+(?ai:some)\s+(\S+)\s*$")
 # the line breaks of str.splitlines, so a comment ends where a corpus line does
 _EOL = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _COMMENT_RE = re.compile(f"#[^{_EOL}]*")
 # group 1 is a segment; segments end at ';', a line break or a comment
 _SEGMENT_RE = re.compile(f"([^;#{_EOL}]+)|{_COMMENT_RE.pattern}")
+# the compact notation's letters, in either case, and its figure digits
+_KIND_OF_LETTER = {c: kind for kind in PropKind for c in (kind.value, kind.value.lower())}
+_FIGURE_OF_DIGIT = {str(figure.value): figure for figure in Figure}
+_ASSUMPTION_OF_NAME = {
+    c: assumption
+    for assumption in Assumption
+    if assumption is not Assumption.NONE
+    for c in (assumption.value, assumption.value.lower())
+}
 
 
 def parse_compact(text: str, offset: int = 0) -> Syllogism:
@@ -103,32 +115,30 @@ def parse_compact(text: str, offset: int = 0) -> Syllogism:
             "expected MOOD-FIGURE notation such as 'EIO-2' or 'AAI-3 +M'",
             SourceSpan(offset, offset + len(text)),
         )
-    letters = m.group(1)
     kinds = []
-    for k, letter in enumerate(letters):
-        try:
-            kinds.append(PropKind(letter.upper()))
-        except ValueError:
+    for k, letter in enumerate(m[1]):
+        kind = _KIND_OF_LETTER.get(letter)
+        if kind is None:
             raise BadMoodLetter(
                 f"mood letters are A, E, I or O, got {letter!r}",
                 SourceSpan(offset + m.start(1) + k, offset + m.start(1) + k + 1),
-            ) from None
-    digits = m.group(2)
-    if len(digits) != 1 or not 1 <= int(digits) <= 4:
+            )
+        kinds.append(kind)
+    figure = _FIGURE_OF_DIGIT.get(m[2])
+    if figure is None:
         raise BadFigure(
-            f"figures are 1 to 4, got {digits!r}",
+            f"figures are 1 to 4, got {m[2]!r}",
             SourceSpan(offset + m.start(2), offset + m.end(2)),
         )
     assumption = Assumption.NONE
-    if m.group(3) is not None:
-        try:
-            assumption = Assumption(m.group(3).upper())
-        except ValueError:
+    if m[3] is not None:
+        assumption = _ASSUMPTION_OF_NAME.get(m[3])
+        if assumption is None:
             raise NotationError(
-                f"the assumption names one of the terms S, M or P, got {m.group(3)!r}",
+                f"the assumption names one of the terms S, M or P, got {m[3]!r}",
                 SourceSpan(offset + m.start(3), offset + m.end(3)),
-            ) from None
-    return Syllogism(Mood(*kinds), Figure(int(digits)), assumption)
+            )
+    return Syllogism(Mood(*kinds), figure, assumption)
 
 
 def render_compact(s: Syllogism) -> str:
@@ -277,7 +287,7 @@ def render_block(s: Syllogism) -> str:
 def parse_any(text: str, offset: int = 0) -> Syllogism:
     """Parse either notation, routed on the input's shape; '#' comments are ignored."""
     # blank comments out in place so offsets into ``clean`` stay offsets into ``text``
-    clean = _COMMENT_RE.sub(lambda m: " " * len(m[0]), text)
+    clean = _COMMENT_RE.sub(lambda m: " " * len(m[0]), text) if "#" in text else text
     if _COMPACT_RE.match(clean):
         return parse_compact(clean, offset)
     return parse_syllogism_block(text, offset)
@@ -300,7 +310,8 @@ def parse_corpus(text: str) -> list[tuple[Syllogism, SourceSpan]]:
         end = start + len(block)
         if not blank:
             s = parsed.get(block)
-            if s is None and _COMMENT_RE.sub("", block).strip():
+            # a block that is not blank and holds no '#' has text outside comments
+            if s is None and ("#" not in block or _COMMENT_RE.sub("", block).strip()):
                 s = parsed[block] = parse_any(block, start)
             if s is not None:
                 results.append((s, SourceSpan(start, end)))

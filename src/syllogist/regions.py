@@ -15,12 +15,11 @@ decides the same query in closed form, so the n-term counts go further.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Sequence
 
-from .chains import PropKind, Proposition, TermId
+from .chains import PropKind, Proposition, TermId, _Value
 from .inference import (
     MAJOR,
     MIDDLE,
@@ -73,12 +72,15 @@ def region_atoms(p: Proposition, terms: tuple[TermId, ...]) -> list[int]:
     ]
 
 
-@dataclass(frozen=True)
-class RegionModel:
+class RegionModel(_Value):
     """One inhabitation pattern: bit a of ``inhabited`` marks atom a."""
 
-    terms: tuple[TermId, ...]
-    inhabited: int
+    __slots__ = ("terms", "inhabited")
+
+    def __init__(self, terms: tuple[TermId, ...], inhabited: int) -> None:
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "inhabited", inhabited)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))

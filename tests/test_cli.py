@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import syllogist
-from syllogist import cli, decide, normalize, parse_any, parse_corpus, premiss_chain, render_block
+from syllogist import catalog, cli, decide, normalize, parse_any, parse_corpus, premiss_chain, render_block
 from syllogist.cli import main, trace_dot
 
 
@@ -219,7 +219,7 @@ def test_count_three(capsys):
 
 
 def test_count_mismatch_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "count_valid_nterm", lambda n: 25)
+    monkeypatch.setattr(catalog, "count_valid_nterm", lambda n: 25)
     code, out, _ = run(capsys, "count", "3")
     assert code == 1
     assert "3n^2-n = 24 (MISMATCH)" in out
@@ -228,6 +228,8 @@ def test_count_mismatch_exits_1(monkeypatch, capsys):
 def test_count_unsupported(capsys):
     code, out, err = run(capsys, "count", "7")
     assert code == 2
+    assert out == ""
+    assert err == "error: n-term counting supports n from 3 to 6, got 7\n"
     assert out == ""
     assert err == "error: n-term counting supports n from 3 to 6, got 7\n"
 
@@ -459,7 +461,7 @@ def test_corpus_json_encodes_each_distinct_entry_once(tmp_path, capsys, monkeypa
         calls.append(obj)
         return dumps(obj, **kwargs)
 
-    monkeypatch.setattr(cli.json, "dumps", counting_dumps)
+    monkeypatch.setattr(json, "dumps", counting_dumps)
     code, out, _ = run(capsys, "trace", "--format", "json", "--corpus", str(corpus))
     assert code == 1
     assert out.count('"input"') == 8
@@ -496,3 +498,47 @@ def test_cli_import_stays_light():
         check=True,
         timeout=60,
     )
+
+
+# runs one command in this process, then lists the modules it loaded on stderr
+IMPORT_SET_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from syllogist.cli import main
+main(sys.argv[2:])
+print(*sorted(sys.modules), file=sys.stderr)
+"""
+CHECK_PATH_NEVER_LOADS = {
+    "dataclasses", "inspect", "json", "typing", "syllogist.regions", "syllogist.catalog",
+}
+
+
+def loaded_modules(*argv):
+    """The modules a fresh ``python -S`` process holds after one command."""
+    package_root = os.path.dirname(os.path.dirname(syllogist.__file__))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_SET_SCRIPT, package_root, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    return set(done.stderr.split())
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "AEE-2"),
+    ("trace", "--format", "dot", "AEE-2"),
+    ("parse", "All M is P; All S is M; All S is P"),
+])
+def test_check_trace_and_parse_import_only_what_they_run(argv):
+    loaded = loaded_modules(*argv)
+    assert "syllogist.inference" in loaded
+    assert loaded.isdisjoint(CHECK_PATH_NEVER_LOADS), loaded & CHECK_PATH_NEVER_LOADS
+
+
+def test_json_output_loads_json_and_tables_load_the_catalog():
+    loaded = loaded_modules("check", "--format", "json", "AEE-2")
+    assert "json" in loaded
+    assert loaded.isdisjoint({"syllogist.regions", "syllogist.catalog"})
+    assert {"syllogist.regions", "syllogist.catalog"} <= loaded_modules("tables")

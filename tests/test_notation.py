@@ -233,6 +233,22 @@ def test_block_with_unknown_assumption_term():
         parse_syllogism_block("All M is P; All S is M; All S is P; assuming some Q")
 
 
+@pytest.mark.parametrize("clause", ["aſſuming ſome S", "assumİng some S"])
+def test_assumption_keywords_fold_ascii_case_only(clause):
+    # as in the propositions: 'ſ' is not 's' and 'İ' is not 'i', so the
+    # clause is a fourth proposition that does not parse as an assumption
+    with pytest.raises(NotASyllogism, match="found 4"):
+        parse_syllogism_block(f"All M is P; All S is M; All S is P; {clause}")
+    with pytest.raises(NotASyllogism, match="found 4"):
+        parse_any(f"All M is P; All S is M; All S is P; {clause}")
+
+
+@pytest.mark.parametrize("clause, term", [("ASSUMING SOME S", "S"), ("assuming\xa0some M", "M")])
+def test_assumption_keywords_fold_ascii_case_and_allow_unicode_spaces(clause, term):
+    s = parse_syllogism_block(f"All M is P; All S is M; All S is P; {clause}")
+    assert s == Syllogism(Mood(PropKind.A, PropKind.A, PropKind.A), Figure.ONE, Assumption(term))
+
+
 def renamed(text):
     """Block text with the term names permuted S->P, M->S, P->M; roles stay put."""
     return re.sub(r"\b[SMP]\b", lambda m: {"S": "P", "M": "S", "P": "M"}[m[0]], text)

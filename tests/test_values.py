@@ -1,0 +1,180 @@
+"""The value classes' contract, and the names the package exports."""
+
+import copy
+import pickle
+
+import pytest
+
+import syllogist
+from syllogist import (
+    Arrow,
+    Assumption,
+    Chain,
+    Figure,
+    LawResult,
+    Mood,
+    PropKind,
+    Proposition,
+    ReductionStep,
+    RegionModel,
+    SourceSpan,
+    Syllogism,
+    TableRow,
+    Trace,
+    Validity,
+    Verdict,
+    decide,
+    diagram,
+    normalize,
+    premiss_chain,
+)
+
+A, E = PropKind.A, PropKind.E
+AB = Chain(("A", "B"), (Arrow.RIGHT,))
+BA = Chain(("B", "A"), (Arrow.RIGHT,))
+BARBARA = Syllogism(Mood(A, A, A), Figure.ONE)
+TRACE = decide(BARBARA).trace
+STEP = TRACE.steps[0]
+VALID = Verdict(Validity.VALID, trace=TRACE)
+INVALID = Verdict(Validity.INVALID)
+
+# class: each field as (name, value, another value it may take on its own)
+CASES = {
+    Proposition: (("kind", A, E), ("subject", "S", "M"), ("predicate", "P", "M")),
+    Chain: (("nodes", ("A", "B"), ("A", "C")), ("arrows", (Arrow.RIGHT,), (Arrow.LEFT,))),
+    Mood: (("first", A, E), ("second", A, E), ("conclusion", A, E)),
+    Syllogism: (
+        ("mood", Mood(A, A, A), Mood(E, A, E)),
+        ("figure", Figure.ONE, Figure.TWO),
+        ("assumption", Assumption.NONE, Assumption.SOME_S),
+    ),
+    ReductionStep: (
+        ("position", STEP.position, STEP.position + 1),
+        ("deleted_term", STEP.deleted_term, "X"),
+        ("before", STEP.before, AB),
+        ("after", STEP.after, BA),
+    ),
+    Trace: (
+        ("initial", TRACE.initial, AB),
+        ("steps", TRACE.steps, ()),
+        ("normal_form", TRACE.normal_form, BA),
+    ),
+    # the assumption is tied to the validity, so it never changes on its own
+    Verdict: (
+        ("validity", Validity.VALID, Validity.INVALID),
+        ("assumption", Assumption.NONE, Assumption.NONE),
+        ("trace", TRACE, normalize(premiss_chain(BARBARA))),
+    ),
+    SourceSpan: (("start", 0, 1), ("end", 3, 4)),
+    RegionModel: (("terms", ("S", "P"), ("P", "S")), ("inhabited", 5, 6)),
+    TableRow: (
+        ("syllogism", BARBARA, Syllogism(Mood(E, A, E), Figure.ONE)),
+        ("calculus", VALID, INVALID),
+        ("oracle", VALID, INVALID),
+    ),
+    LawResult: (
+        ("name", "law", "other law"),
+        ("chain", AB, BA),
+        ("expected", Proposition(A, "A", "B"), None),
+        ("trace", normalize(AB), normalize(BA)),
+        ("ok", True, False),
+    ),
+}
+
+
+def values(cls):
+    return [value for _name, value, _other in CASES[cls]]
+
+
+@pytest.fixture(params=list(CASES), ids=lambda cls: cls.__name__)
+def cls(request):
+    return request.param
+
+
+def test_equal_fields_give_equal_values_and_hashes(cls):
+    a, b = cls(*values(cls)), cls(*values(cls))
+    assert a is not b
+    assert a == b
+    assert not a != b
+    assert hash(a) == hash(b)
+
+
+def test_changing_one_field_gives_an_unequal_value(cls):
+    base = cls(*values(cls))
+    for k, (name, value, other) in enumerate(CASES[cls]):
+        if other == value:
+            continue
+        changed = values(cls)
+        changed[k] = other
+        assert cls(*changed) != base, name
+
+
+def test_another_class_with_the_same_fields_is_not_equal(cls):
+    sub = type("Sub", (cls,), {})
+    assert sub(*values(cls)) != cls(*values(cls))
+    assert cls(*values(cls)) != tuple(values(cls))
+
+
+def test_fields_cannot_be_assigned_or_deleted(cls):
+    value = cls(*values(cls))
+    for name, _value, other in CASES[cls]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, other)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert list(values(cls)) == [getattr(value, name) for name, _v, _o in CASES[cls]]
+
+
+def test_repr_names_each_field_in_order(cls):
+    fields = ", ".join(f"{name}={value!r}" for name, value, _other in CASES[cls])
+    assert repr(cls(*values(cls))) == f"{cls.__name__}({fields})"
+
+
+def test_copy_deepcopy_and_pickle_round_trip(cls):
+    value = cls(*values(cls))
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is cls
+        assert clone == value
+        assert hash(clone) == hash(value)
+
+
+def test_keyword_arguments_and_defaults():
+    assert Syllogism(mood=Mood(A, A, A), figure=Figure.ONE) == BARBARA
+    assert BARBARA.assumption is Assumption.NONE
+    assert Verdict(Validity.INVALID) == Verdict(
+        validity=Validity.INVALID, assumption=Assumption.NONE, trace=None
+    )
+    assert diagram(Proposition(kind=A, subject="A", predicate="B")) == AB
+
+
+# --- package surface --------------------------------------------------------
+
+EXPORTS = """
+AmbiguousTerms Arrow Assumption BULLET BadFigure BadMoodLetter Chain ChainError
+Figure JunctionMismatch LawResult MAJOR MAX_COUNT_TERMS MAX_TERMS MIDDLE MINOR
+ModelSpace Mood NoSuchOccurrence NotASyllogism NotReducible NotationError
+PropKind Proposition ReductionStep RegionModel SourceSpan Syllogism TableRow
+TermId TermNotInChain TooManyTerms Trace UnknownTerm UnsupportedN Validity
+VennSpace Verdict all_moods all_syllogisms assumption_proposition chain_along
+chain_from_text check_rules concat conclusion_of count_valid_nterm decide
+diagram enumerate_all eval_proposition is_bullet is_term match_conclusion
+mutually_excluded normalize opposition_laws parse_any parse_compact
+parse_corpus parse_proposition parse_syllogism_block premiss_chain
+premisses_of reduce_at reducible_positions render_block render_compact
+render_proposition semantic_verdict space_for splice_existence
+""".split()
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_every_exported_name_imports_from_the_package(name):
+    namespace = {}
+    exec(f"from syllogist import {name}", namespace)
+    assert namespace[name] is getattr(syllogist, name)
+    assert name in dir(syllogist)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        syllogist.no_such_name
+    with pytest.raises(ImportError):
+        exec("from syllogist import no_such_name", {})
