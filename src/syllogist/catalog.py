@@ -1,10 +1,12 @@
-"""Exhaustive tables, classical rules, opposition laws, and n-term counts.
+"""Exhaustive tables, classical rules, opposition laws, mutual exclusion
+and n-term counts.
 
 Everything here is derived by running the calculus and the region oracle
 side by side: the mood/figure tables come out of enumeration rather than
 being keyed in, the five classical rules of syllogism are checked as
-necessary conditions on validity, and the square-of-opposition laws are
-obtained by reducing their premiss chains.
+necessary conditions on validity, and the square-of-opposition laws and
+mutual exclusion are concluded by calculation, as ``decide`` concludes: a
+premiss chain reduces to the conclusion's diagram (``match_conclusion``).
 """
 
 from __future__ import annotations
@@ -12,14 +14,13 @@ from __future__ import annotations
 from itertools import product
 
 from .chains import (
-    Arrow,
     Chain,
     PropKind,
     Proposition,
     TermId,
     _Value,
+    _check_term,
     chain_along,
-    is_bullet,
 )
 from .inference import (
     Assumption,
@@ -182,33 +183,19 @@ def opposition_laws() -> list[LawResult]:
 
 
 # ---------------------------------------------------------------------------
-# Mutual exclusion (the blocked-overlap pattern)
-
-
-def _blocked_pair(chain: Chain) -> bool:
-    # exactly one bullet, both its arrows converging on it, and every
-    # outer arrow pointing away from it toward the endpoints
-    bullets = [i for i, node in enumerate(chain.nodes) if is_bullet(node)]
-    if len(bullets) != 1:
-        return False
-    b = bullets[0]
-    if b == 0 or b == len(chain.nodes) - 1:
-        return False
-    if not (chain.arrows[b - 1] is Arrow.RIGHT and chain.arrows[b] is Arrow.LEFT):
-        return False
-    return all(a is Arrow.LEFT for a in chain.arrows[: b - 1]) and all(
-        a is Arrow.RIGHT for a in chain.arrows[b + 1 :]
-    )
+# Mutual exclusion, concluded by calculation
 
 
 def mutually_excluded(chain: Chain, x: TermId, y: TermId) -> bool:
-    """Whether x and y can share no element, as witnessed by the chain.
+    """Whether the chain shows that No x is y.
 
-    The stretch of chain between an occurrence of x and one of y must
-    reduce to the pattern of a single bullet fenced off by converging
-    arrows, with everything outside it flowing outward to x and y.  The
-    3-node instance of the pattern is exactly the diagram of No x is y.
+    No x is y follows from the stretch of chain between the first
+    occurrence of x and the first other occurrence of y by calculation:
+    the stretch reduces to the diagram of No x is y, ``x -> * <- y``.
+    E is symmetric, so the order of x and y does not matter.
     """
+    _check_term(x)
+    _check_term(y)
     xs = chain.occurrences(x)
     if not xs:
         raise TermNotInChain(f"term {x!r} does not occur in {chain}")
@@ -219,11 +206,13 @@ def mutually_excluded(chain: Chain, x: TermId, y: TermId) -> bool:
     py = ys[0]
     lo, hi = min(px, py), max(px, py)
     between = Chain._of(chain.nodes[lo : hi + 1], chain.arrows[lo:hi])
-    return _blocked_pair(normalize(between).normal_form)
+    conclusion = Proposition(PropKind.E, chain.nodes[lo], chain.nodes[hi])
+    return match_conclusion(normalize(between).normal_form, conclusion)
 
 
 # ---------------------------------------------------------------------------
-# Experimental: counting valid n-term syllogisms
+# Counting valid n-term syllogisms (asserted in the tests up to n = 6; CI
+# also checks `syllogist count 5`)
 
 # An n-term syllogism here is a linear arrangement: n - 1 premisses, the
 # i-th relating T_i and T_(i+1) in either subject/predicate order, with
@@ -236,7 +225,7 @@ def mutually_excluded(chain: Chain, x: TermId, y: TermId) -> bool:
 # union of those models satisfies them all (the models of a universal are
 # closed under union; a particular true in a model stays true in a larger).
 
-MAX_COUNT_TERMS = 6  # n = 6 takes about 1 s, n = 7 about 9 s (2-vCPU x86-64, Python 3.11)
+MAX_COUNT_TERMS = 6  # n = 6 takes 1.1-1.5 s, n = 7 about 13 s (2-vCPU x86-64, Python 3.11)
 
 
 def count_valid_nterm(n: int, with_assumptions: bool = True) -> int:

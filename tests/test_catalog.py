@@ -1,9 +1,15 @@
-"""Enumeration rows, classical rules, opposition laws, n-term counts."""
+"""Enumeration rows, classical rules, opposition laws, mutual exclusion,
+n-term counts, and the soundness of a match."""
+
+from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from syllogist import (
+    BULLET,
     Assumption,
+    ChainError,
     MAX_COUNT_TERMS,
     PropKind,
     Proposition,
@@ -27,7 +33,7 @@ from syllogist import (
 
 from test_chains import ch, prop
 from test_inference import syl
-from test_regions import count_queries
+from test_regions import count_queries, premisses_over
 
 
 def test_all_moods_covers_the_cube():
@@ -141,8 +147,23 @@ def test_non_reducing_chains_are_stuck():
 
 # --- mutual exclusion -------------------------------------------------------
 
+def _chained(start, *premisses):
+    """The chain of the premisses along their path from start, and the premisses."""
+    return chain_along(start, premisses), premisses
+
+
 def test_mutual_exclusion_through_a_longer_chain():
-    assert mutually_excluded(ch("C <- A -> * <- B -> D"), "C", "D")
+    # All C is A, No A is B, All D is B: No C is D
+    chain, premisses = _chained("C", prop("A", "C", "A"), prop("E", "A", "B"), prop("A", "D", "B"))
+    assert chain == ch("C -> A -> * <- B <- D")
+    assert mutually_excluded(chain, "C", "D")
+    assert space_for(("A", "B", "C", "D")).entails(premisses, prop("E", "C", "D"))
+    # All A is C, No A is B, All B is D: A = {1}, B = {2}, C = D = {1, 2}
+    # satisfies the premisses, and C and D overlap
+    chain, premisses = _chained("C", prop("A", "A", "C"), prop("E", "A", "B"), prop("A", "B", "D"))
+    assert chain == ch("C <- A -> * <- B -> D")
+    assert not mutually_excluded(chain, "C", "D")
+    assert not space_for(("A", "B", "C", "D")).entails(premisses, prop("E", "C", "D"))
 
 
 def test_e_diagram_is_the_minimal_exclusion():
@@ -158,8 +179,34 @@ def test_two_bullets_are_not_an_exclusion():
 
 
 def test_exclusion_reduces_interior_runs():
-    assert mutually_excluded(ch("C <- X <- A -> * <- B -> Y -> D"), "C", "D")
+    terms = ("A", "B", "C", "D", "X", "Y")
+    chain, premisses = _chained(
+        "C",
+        prop("A", "C", "X"), prop("A", "X", "A"), prop("E", "A", "B"),
+        prop("A", "Y", "B"), prop("A", "D", "Y"),
+    )
+    assert chain == ch("C -> X -> A -> * <- B <- Y <- D")
+    assert mutually_excluded(chain, "C", "D")
+    assert VennSpace(terms).entails(premisses, prop("E", "C", "D"))
+    # the arrows flow outward from A and B, so C and D may overlap
+    chain, premisses = _chained(
+        "C",
+        prop("A", "X", "C"), prop("A", "A", "X"), prop("E", "A", "B"),
+        prop("A", "B", "Y"), prop("A", "Y", "D"),
+    )
+    assert chain == ch("C <- X <- A -> * <- B -> Y -> D")
+    assert not mutually_excluded(chain, "C", "D")
+    assert not VennSpace(terms).entails(premisses, prop("E", "C", "D"))
     assert not mutually_excluded(ch("C <- X <- A -> * -> B -> Y -> D"), "C", "D")
+
+
+def test_a_law_chain_does_not_exclude_a_term_from_itself():
+    # the "no I from A alone" chain: All A is B, No A is B; A = {}, B = {1}
+    # satisfies both, and B is inhabited
+    chain, premisses = _chained("B", prop("A", "A", "B"), prop("E", "A", "B"))
+    assert chain == ch("B <- A -> * <- B")
+    assert not mutually_excluded(chain, "B", "B")
+    assert not VennSpace(("A", "B")).entails(premisses, prop("E", "B", "B"))
 
 
 def test_exclusion_of_a_term_from_itself():
@@ -176,6 +223,29 @@ def test_exclusion_requires_both_terms():
 def test_exclusion_between_interior_occurrences():
     # only the stretch between the chosen terms matters
     assert mutually_excluded(ch("Q -> A -> * <- B <- R"), "A", "B")
+
+
+def test_exclusion_takes_terms_only():
+    chain = ch("A -> * <- B")
+    for bad in (BULLET, "", "->", "two words"):
+        with pytest.raises(ChainError):
+            mutually_excluded(chain, bad, "B")
+        with pytest.raises(ChainError):
+            mutually_excluded(chain, "A", bad)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_mutual_exclusion_agrees_with_the_venn_oracle(n):
+    # every candidate of the n-term count with an E conclusion
+    terms, _, candidates = count_queries(n)
+    venn = VennSpace(terms)
+    for premisses, conclusion in candidates:
+        if conclusion.kind is not PropKind.E:
+            continue
+        chain = chain_along(terms[0], premisses)
+        excluded = mutually_excluded(chain, terms[0], terms[-1])
+        assert excluded == mutually_excluded(chain, terms[-1], terms[0]), premisses
+        assert excluded == venn.entails(premisses, conclusion), premisses
 
 
 # --- n-term counting --------------------------------------------------------
@@ -239,6 +309,44 @@ def test_calculus_agrees_with_the_venn_oracle_beyond_three_terms(n):
         assumed += any(valid_under)
     assert bare == count_valid_nterm(n, with_assumptions=False) == 2 * n * n - n
     assert assumed == count_valid_nterm(n) == 3 * n * n - n
+
+
+# --- soundness of a match when terms repeat ------------------------------------
+
+def _assert_matches_are_entailed(path, premisses):
+    """Every conclusion over the path's ends that the chain reduces to is
+    entailed; returns the chain."""
+    chain = chain_along(path[0], premisses)
+    normal = normalize(chain).normal_form
+    venn = VennSpace(tuple(dict.fromkeys(path)))
+    for kind in PropKind:
+        conclusion = Proposition(kind, path[0], path[-1])
+        if match_conclusion(normal, conclusion):
+            assert venn.entails(premisses, conclusion), (path, premisses, conclusion)
+    return chain
+
+
+def test_matches_are_sound_on_short_paths_with_repeated_terms():
+    # every path of one or two premisses over A, B, C, terms repeating
+    chains = set()
+    for length in (2, 3):
+        for path in product("ABC", repeat=length):
+            for premisses in product(*(premisses_over(x, y) for x, y in zip(path, path[1:]))):
+                chains.add(_assert_matches_are_entailed(path, premisses))
+    # which covers every opposition law's chain
+    assert all(law.chain in chains for law in opposition_laws())
+
+
+@st.composite
+def term_paths(draw):
+    path = draw(st.lists(st.sampled_from("ABC"), min_size=4, max_size=5))
+    premisses = [draw(st.sampled_from(premisses_over(x, y))) for x, y in zip(path, path[1:])]
+    return path, premisses
+
+
+@given(term_paths())
+def test_matches_are_sound_on_longer_paths_with_repeated_terms(case):
+    _assert_matches_are_entailed(*case)
 
 
 def test_unsupported_n():

@@ -157,15 +157,17 @@ def test_bitset_truth_agrees_with_per_model_loop():
 
 # --- the closed-form oracle against enumeration ------------------------------
 
+def premisses_over(x, y):
+    """The 8 premisses over a pair of terms: each kind, either way round."""
+    return [Proposition(kind, *pair) for kind in PropKind for pair in ((x, y), (y, x))]
+
+
 def count_queries(n):
     """Terms, existence assumptions and the (premisses, conclusion) pairs
     of the n-term count: one premiss over each adjacent pair of terms,
     either way round, and a conclusion over the first and last term."""
     terms = tuple(f"T{i}" for i in range(1, n + 1))
-    slots = [
-        [Proposition(kind, *pair) for kind in PropKind for pair in ((x, y), (y, x))]
-        for x, y in zip(terms, terms[1:])
-    ]
+    slots = [premisses_over(x, y) for x, y in zip(terms, terms[1:])]
     conclusions = [Proposition(kind, terms[0], terms[-1]) for kind in PropKind]
     existence = [prop("I", t, t) for t in terms]
     return terms, existence, [(p, c) for p in product(*slots) for c in conclusions]
