@@ -189,25 +189,27 @@ def opposition_laws() -> list[LawResult]:
 def mutually_excluded(chain: Chain, x: TermId, y: TermId) -> bool:
     """Whether the chain shows that No x is y.
 
-    No x is y follows from the stretch of chain between the first
-    occurrence of x and the first other occurrence of y by calculation:
-    the stretch reduces to the diagram of No x is y, ``x -> * <- y``.
-    E is symmetric, so the order of x and y does not matter.
+    No x is y follows from a stretch of chain between an occurrence of x
+    and another occurrence of y by calculation: the stretch reduces to the
+    diagram of No x is y, ``x -> * <- y``.  Every such stretch is tried, so
+    a repeated term does not hide a shorter one.  E is symmetric, so the
+    order of x and y does not matter.
     """
     _check_term(x)
     _check_term(y)
     xs = chain.occurrences(x)
     if not xs:
         raise TermNotInChain(f"term {x!r} does not occur in {chain}")
-    px = xs[0]
-    ys = [i for i in chain.occurrences(y) if i != px]
-    if not ys:
+    stretches = {(min(i, j), max(i, j)) for i in xs for j in chain.occurrences(y) if i != j}
+    if not stretches:
         raise TermNotInChain(f"term {y!r} has no occurrence in {chain} apart from {x!r}")
-    py = ys[0]
-    lo, hi = min(px, py), max(px, py)
-    between = Chain._of(chain.nodes[lo : hi + 1], chain.arrows[lo:hi])
-    conclusion = Proposition(PropKind.E, chain.nodes[lo], chain.nodes[hi])
-    return match_conclusion(normalize(between).normal_form, conclusion)
+    return any(
+        match_conclusion(
+            normalize(Chain._of(chain.nodes[lo : hi + 1], chain.arrows[lo:hi])).normal_form,
+            Proposition(PropKind.E, chain.nodes[lo], chain.nodes[hi]),
+        )
+        for lo, hi in stretches
+    )
 
 
 # ---------------------------------------------------------------------------

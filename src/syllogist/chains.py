@@ -130,6 +130,10 @@ class Arrow(Enum):
     RIGHT = "->"
     LEFT = "<-"
 
+    # members are singletons and equal only to themselves, so hashing by
+    # identity keeps the hash/eq contract, in C; ``Enum.__hash__`` runs in Python
+    __hash__ = object.__hash__
+
     @property
     def flipped(self) -> "Arrow":
         return Arrow.LEFT if self is Arrow.RIGHT else Arrow.RIGHT
@@ -142,6 +146,8 @@ class PropKind(Enum):
     E = "E"  # universal negative:    No X is Y
     I = "I"  # particular affirmative: Some X is Y
     O = "O"  # particular negative:   Some X is not Y
+
+    __hash__ = object.__hash__  # by identity, as ``Arrow``'s
 
     @property
     def universal(self) -> bool:

@@ -18,9 +18,10 @@ character offsets into the file, each CRLF counting as two characters;
 a leading byte order mark is dropped, and offsets count from after it.
 A run decides and renders each distinct syllogism once (there are 1024),
 however often a corpus repeats it, and prints one result per block.  A
-corpus parses each distinct block text once, and ``--format json``
-encodes each distinct entry once; the list it prints is the text of
-``json.dumps(entries, indent=2)``.
+corpus parses each distinct block text and each distinct proposition text
+once, and ``--format json`` encodes each distinct entry once; the list it
+prints is the text of ``json.dumps(entries, indent=2)``.  The run's cache
+is keyed by ``Syllogism``, whose enum fields hash by identity.
 
 A process imports what its command runs: the catalog and the oracle
 only for ``tables``, ``laws`` and ``count``, ``json`` only for
@@ -142,8 +143,9 @@ def _report(args, s: Syllogism) -> tuple[bool, str]:
 def cmd_report(args) -> int:
     """``check``, ``trace`` and ``parse``: one report per input, printed as it is built.
 
-    A run builds each distinct input's report once.  A corpus in json
-    prints one list, assembled from each distinct entry's text.
+    A run builds each distinct input's report once, its line break
+    included, and writes the cached text for every input.  A corpus in
+    json prints one list, assembled from each distinct entry's text.
     """
     status = 0
     entries = []
@@ -157,6 +159,8 @@ def cmd_report(args) -> int:
                 # json.dumps escapes every newline inside a string, so each raw
                 # "\n" is structural: indenting after it nests the entry one level
                 out = out.replace("\n", "\n  ")
+            else:
+                out += "\n"
             report = reports[s] = valid, out
         valid, out = report
         if not valid:
@@ -164,7 +168,7 @@ def cmd_report(args) -> int:
         if json_list:
             entries.append(out)
         else:
-            print(out)
+            sys.stdout.write(out)
     if json_list:
         # the text json.dumps gives the list of entries, with indent=2
         print("[\n  " + ",\n  ".join(entries) + "\n]" if entries else "[]")

@@ -108,6 +108,8 @@ class Assumption(Enum):
     SOME_M = "M"
     SOME_P = "P"
 
+    __hash__ = object.__hash__  # by identity, as ``chains.Arrow``'s
+
     @property
     def term(self) -> TermId | None:
         return None if self is Assumption.NONE else self.value
@@ -196,6 +198,8 @@ class Validity(Enum):
     INVALID = "invalid"
     VALID = "valid"
     VALID_WITH_ASSUMPTION = "valid-with-assumption"
+
+    __hash__ = object.__hash__  # by identity, as ``chains.Arrow``'s
 
 
 class Verdict(_Value):

@@ -13,7 +13,8 @@ Propositions use exactly the four templates ``All X is Y``, ``No X is Y``,
 in ASCII only; term tokens are identifiers (letter first, then letters,
 digits or underscores) and keep their case.  Reserved words cannot be terms, which
 keeps ``is not`` unambiguous.  Corpus files hold one syllogism per block,
-blocks separated by blank lines.
+blocks separated by blank lines; a corpus parses each distinct block text,
+and each distinct proposition text within its blocks, once.
 
 A ``#`` comment is ignored in every notation and runs to the end of its
 line.  A line ends at any break that ``str.splitlines`` recognises, so
@@ -211,29 +212,34 @@ def parse_syllogism_block(text: str, offset: int = 0) -> Syllogism:
     and the first premiss must carry the conclusion's predicate, the
     second its subject.
     """
-    segments = _segments(text)
-    whole = SourceSpan(offset, offset + len(text))
+    return _parse_block(text, offset, {})
 
-    assumed_name = None
-    assumed_span = None
+
+def _parse_block(
+    text: str, offset: int, propositions: dict[str, tuple[PropKind, str, str]]
+) -> Syllogism:
+    """``parse_syllogism_block``, looking each segment up in ``propositions``
+    before parsing it, and keeping there each segment that parses."""
+    segments = _segments(text)
+
+    assumed = None
     if segments:
         m = _ASSUMING_RE.match(segments[-1][0])
         if m is not None:
-            seg_text, seg_start = segments.pop()
-            assumed_name = m.group(1)
-            assumed_span = SourceSpan(
-                offset + seg_start + m.start(1), offset + seg_start + m.end(1)
-            )
+            assumed = m, offset + segments.pop()[1]
 
     if len(segments) != 3:
         raise NotASyllogism(
             f"a syllogism block holds exactly three propositions, found {len(segments)}",
-            whole,
+            SourceSpan(offset, offset + len(text)),
         )
     (t1, o1), (t2, o2), (t3, o3) = segments
-    # unpacked in order, so the first bad proposition's error wins
+    # unpacked in order, so the first bad proposition's error wins; a parse
+    # that succeeds depends on the segment's text alone, so a repeated text
+    # reuses it
     (k1, s1, p1), (k2, s2, p2), (k3, subject, predicate) = (
-        _proposition(t, offset + o) for t, o in segments
+        propositions.get(t) or propositions.setdefault(t, _proposition(t, offset + o))
+        for t, o in segments
     )
 
     if subject == predicate:
@@ -245,7 +251,7 @@ def parse_syllogism_block(text: str, offset: int = 0) -> Syllogism:
     if len(terms) != 3:
         raise NotASyllogism(
             f"a syllogism involves exactly three terms, found {len(terms)}",
-            whole,
+            SourceSpan(offset, offset + len(text)),
         )
     (middle,) = terms - {subject, predicate}
     if {s1, p1} != {middle, predicate}:
@@ -263,13 +269,14 @@ def parse_syllogism_block(text: str, offset: int = 0) -> Syllogism:
     figure = figure_of((role[s1], role[p1]), (role[s2], role[p2]))
 
     assumption = Assumption.NONE
-    if assumed_name is not None:
-        if assumed_name not in role:
+    if assumed is not None:
+        m, start = assumed
+        if m[1] not in role:
             raise NotASyllogism(
-                f"the assumption must name one of the three terms, got {assumed_name!r}",
-                assumed_span,
+                f"the assumption must name one of the three terms, got {m[1]!r}",
+                SourceSpan(start + m.start(1), start + m.end(1)),
             )
-        assumption = Assumption(role[assumed_name])
+        assumption = _ASSUMPTION_OF_NAME[role[m[1]]]
 
     return Syllogism(Mood(k1, k2, k3), figure, assumption)
 
@@ -286,24 +293,33 @@ def render_block(s: Syllogism) -> str:
 
 def parse_any(text: str, offset: int = 0) -> Syllogism:
     """Parse either notation, routed on the input's shape; '#' comments are ignored."""
+    return _parse_any(text, offset, {})
+
+
+def _parse_any(
+    text: str, offset: int, propositions: dict[str, tuple[PropKind, str, str]]
+) -> Syllogism:
+    """``parse_any``, a block's propositions looked up in ``propositions`` first."""
     # blank comments out in place so offsets into ``clean`` stay offsets into ``text``
     clean = _COMMENT_RE.sub(lambda m: " " * len(m[0]), text) if "#" in text else text
     if _COMPACT_RE.match(clean):
         return parse_compact(clean, offset)
-    return parse_syllogism_block(text, offset)
+    return _parse_block(text, offset, propositions)
 
 
 def parse_corpus(text: str) -> list[tuple[Syllogism, SourceSpan]]:
     """Parse a corpus file: one syllogism per blank-line-separated block.
 
     Blocks that hold only comments are skipped; every other block goes
-    through ``parse_any``, once per distinct text.
+    through ``parse_any``, once per distinct text, and each distinct
+    proposition text in them is parsed once.
     """
     results = []
-    # a parse does not depend on the offset, and only blocks that parse are
-    # kept, so a repeated text reuses its syllogism and the first bad block
-    # still raises at its own span
+    # a parse does not depend on the offset, and only blocks and propositions
+    # that parse are kept, so a repeated text reuses its result and the first
+    # bad block still raises at its own span
     parsed: dict[str, Syllogism] = {}
+    propositions: dict[str, tuple[PropKind, str, str]] = {}
     start = 0
     for blank, group in groupby(text.splitlines(keepends=True), key=str.isspace):
         block = "".join(group)
@@ -312,7 +328,7 @@ def parse_corpus(text: str) -> list[tuple[Syllogism, SourceSpan]]:
             s = parsed.get(block)
             # a block that is not blank and holds no '#' has text outside comments
             if s is None and ("#" not in block or _COMMENT_RE.sub("", block).strip()):
-                s = parsed[block] = parse_any(block, start)
+                s = parsed[block] = _parse_any(block, start, propositions)
             if s is not None:
                 results.append((s, SourceSpan(start, end)))
         start = end

@@ -209,6 +209,16 @@ def test_a_law_chain_does_not_exclude_a_term_from_itself():
     assert not VennSpace(("A", "B")).entails(premisses, prop("E", "B", "B"))
 
 
+def test_exclusion_in_a_stretch_after_a_repeated_term():
+    # No A is A, No A is B: the tail A -> * <- B concludes No A is B, though
+    # the stretch from the first A to B does not reduce to the E diagram
+    chain, premisses = _chained("A", prop("E", "A", "A"), prop("E", "A", "B"))
+    assert chain == ch("A -> * <- A -> * <- B")
+    assert mutually_excluded(chain, "A", "B")
+    assert mutually_excluded(chain, "B", "A")
+    assert VennSpace(("A", "B")).entails(premisses, prop("E", "A", "B"))
+
+
 def test_exclusion_of_a_term_from_itself():
     assert mutually_excluded(diagram(prop("E", "A", "A")), "A", "A")
 
@@ -314,7 +324,8 @@ def test_calculus_agrees_with_the_venn_oracle_beyond_three_terms(n):
 # --- soundness of a match when terms repeat ------------------------------------
 
 def _assert_matches_are_entailed(path, premisses):
-    """Every conclusion over the path's ends that the chain reduces to is
+    """Every conclusion over the path's ends that the chain reduces to, and
+    every exclusion ``mutually_excluded`` finds between two of its terms, is
     entailed; returns the chain."""
     chain = chain_along(path[0], premisses)
     normal = normalize(chain).normal_form
@@ -323,6 +334,9 @@ def _assert_matches_are_entailed(path, premisses):
         conclusion = Proposition(kind, path[0], path[-1])
         if match_conclusion(normal, conclusion):
             assert venn.entails(premisses, conclusion), (path, premisses, conclusion)
+    for x, y in product(set(path), repeat=2):
+        if (x != y or path.count(x) > 1) and mutually_excluded(chain, x, y):
+            assert venn.entails(premisses, prop("E", x, y)), (path, premisses, x, y)
     return chain
 
 

@@ -365,11 +365,13 @@ def test_parse_corpus_parses_each_distinct_block_once(monkeypatch):
     text = "AAA-1\n\nEAE-1\n\nAAA-1\n\nAAA-1\n\nEAE-1\n"
     calls = []
 
-    def counting_parse_any(block, offset=0):
-        calls.append(block)
-        return parse_any(block, offset)
+    parse_block_or_compact = notation._parse_any
 
-    monkeypatch.setattr(notation, "parse_any", counting_parse_any)
+    def counting_parse_any(block, offset, propositions):
+        calls.append(block)
+        return parse_block_or_compact(block, offset, propositions)
+
+    monkeypatch.setattr(notation, "_parse_any", counting_parse_any)
     parsed = parse_corpus(text)
     assert calls == ["AAA-1\n", "EAE-1\n"]
     assert [(str(s), span.start, span.end) for s, span in parsed] == [
@@ -386,6 +388,59 @@ def test_parse_corpus_reports_a_bad_block_after_repeats_at_its_own_span():
     with pytest.raises(BadMoodLetter) as exc:
         parse_corpus(text)
     assert (exc.value.span.start, exc.value.span.end) == (text.index("B"), text.index("B") + 1)
+
+
+def test_parse_corpus_parses_each_distinct_proposition_text_once(monkeypatch):
+    text = (
+        "All M is P; All S is M; All S is P\n\n"
+        "All M is P\nAll S is M\nAll S is P\n\n"
+        "# again\nAll M is P; All S is M  # note\nAll S is P\n\n"
+        "No M is P; All S is M; No S is P; assuming some S\n\n"
+        "All M is P; All S is M; All S is P\n"
+    )
+    calls = []
+    parse_one = notation._proposition
+
+    def counting_proposition(segment, offset):
+        calls.append(segment)
+        return parse_one(segment, offset)
+
+    monkeypatch.setattr(notation, "_proposition", counting_proposition)
+    parsed = parse_corpus(text)
+    # a segment keeps the spaces around it, so each separator gives its own text
+    assert calls == [
+        "All M is P", " All S is M", " All S is P",
+        "All S is M", "All S is P",
+        " All S is M  ",
+        "No M is P", " No S is P",
+    ]
+    barbara, celarent = syl("AAA-1"), syl("EAE-1 +S")
+    assert [s for s, _span in parsed] == [barbara, barbara, barbara, celarent, barbara]
+
+
+def _span_of(exc):
+    return exc.value.span.start, exc.value.span.end
+
+
+def test_parse_corpus_checks_a_block_of_known_propositions_at_its_own_span():
+    good = "All M is P\nAll S is M\nAll S is P\n\nAll X is P\nAll S is X\nAll S is P\n\n"
+    # every proposition below was parsed in a block before it
+    four_terms = "All M is P\nAll S is X\nAll S is P\n"
+    with pytest.raises(NotASyllogism, match="exactly three terms") as exc:
+        parse_corpus(good + four_terms)
+    assert _span_of(exc) == (len(good), len(good) + len(four_terms))
+    swapped = "All S is M\nAll M is P\nAll S is P\n"
+    with pytest.raises(NotASyllogism, match="first premiss") as exc:
+        parse_corpus(good + swapped)
+    assert _span_of(exc) == (len(good), len(good) + len("All S is M"))
+
+
+def test_parse_corpus_reports_a_bad_proposition_after_known_ones_at_its_own_span():
+    good = "All M is P; All S is M; All S is P\n\n"
+    text = good + "All M is P; All S is M; All S is 9\n"
+    with pytest.raises(NotationError, match="term tokens") as exc:
+        parse_corpus(text)
+    assert _span_of(exc) == (text.index("9"), text.index("9") + 1)
 
 
 def _parse_every_block(text):

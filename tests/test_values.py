@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from enum import Enum
 
 import pytest
 
@@ -26,6 +27,8 @@ from syllogist import (
     decide,
     diagram,
     normalize,
+    parse_any,
+    parse_proposition,
     premiss_chain,
 )
 
@@ -136,6 +139,47 @@ def test_copy_deepcopy_and_pickle_round_trip(cls):
         assert type(clone) is cls
         assert clone == value
         assert hash(clone) == hash(value)
+
+
+ENUMS = (Arrow, Assumption, Figure, PropKind, Validity)
+
+
+def test_every_package_enum_is_listed():
+    exported = (getattr(syllogist, name) for name in EXPORTS)
+    assert {v for v in exported if isinstance(v, type) and issubclass(v, Enum)} == set(ENUMS)
+
+
+@pytest.mark.parametrize("enum", ENUMS, ids=lambda enum: enum.__name__)
+def test_enum_members_survive_copy_and_pickle_as_themselves(enum):
+    for member in enum:
+        for clone in (
+            copy.copy(member), copy.deepcopy(member), pickle.loads(pickle.dumps(member))
+        ):
+            assert clone is member
+
+
+@pytest.mark.parametrize("enum", ENUMS, ids=lambda enum: enum.__name__)
+def test_enum_members_hash_by_identity_or_as_ints(enum):
+    # the plain enums hash by identity, in C; Figure is an IntEnum, hashed as its int
+    expected = int.__hash__ if issubclass(enum, int) else object.__hash__
+    assert enum.__hash__ is expected
+    assert len({hash(member) for member in enum}) == len(enum)
+
+
+def test_equal_values_built_apart_hash_equal_and_find_each_other():
+    pairs = [
+        (parse_any("EAO-3 +M"), Syllogism(Mood(E, A, PropKind.O), Figure.THREE, Assumption.SOME_M)),
+        (parse_any("No M is P; All M is S; Some S is not P; assuming some M"),
+         pickle.loads(pickle.dumps(parse_any("EAO-3 +M")))),
+        (parse_proposition("Some S is not P"), Proposition(PropKind.O, "S", "P")),
+        (copy.deepcopy(Proposition(A, "S", "P")), parse_proposition("All S is P")),
+    ]
+    for a, b in pairs:
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        assert {a: "found"}[b] == "found"
+        assert {b: "found"}[a] == "found"
 
 
 def test_keyword_arguments_and_defaults():
