@@ -20,8 +20,9 @@ A run decides and renders each distinct syllogism once (there are 1024),
 however often a corpus repeats it, and prints one result per block.  A
 corpus parses each distinct block text and each distinct proposition text
 once, and ``--format json`` encodes each distinct entry once; the list it
-prints is the text of ``json.dumps(entries, indent=2)``.  The run's cache
-is keyed by ``Syllogism``, whose enum fields hash by identity.
+prints is the text of ``json.dumps(entries, indent=2)``.  Equal syllogisms
+in a corpus are one object, so the run's cache of reports is keyed by
+identity (``id``) and a repeated block costs one lookup in C.
 
 A process imports what its command runs: the catalog and the oracle
 only for ``tables``, ``laws`` and ``count``, ``json`` only for
@@ -44,7 +45,7 @@ from .inference import (
     normalize,
     premiss_chain,
 )
-from .notation import NotationError, parse_any, parse_corpus, render_block
+from .notation import NotationError, _parse_corpus, parse_any, render_block
 
 
 def _load_inputs(args) -> list[Syllogism]:
@@ -53,7 +54,7 @@ def _load_inputs(args) -> list[Syllogism]:
         # utf-8-sig drops a leading byte order mark, so they count from after it
         with open(args.corpus, encoding="utf-8-sig", newline="") as f:
             text = f.read()
-        return [s for s, _span in parse_corpus(text)]
+        return [s for s, _start, _end in _parse_corpus(text)]
     if args.notation is None:
         raise NotationError("nothing to parse: give a syllogism or --corpus FILE")
     return [parse_any(args.notation)]
@@ -150,9 +151,11 @@ def cmd_report(args) -> int:
     status = 0
     entries = []
     json_list = args.format == "json" and args.corpus is not None
-    reports: dict[Syllogism, tuple[bool, str]] = {}
+    # keyed by identity: the input list keeps every key alive for the run,
+    # and a corpus gives equal syllogisms as one object
+    reports: dict[int, tuple[bool, str]] = {}
     for s in _load_inputs(args):
-        report = reports.get(s)
+        report = reports.get(id(s))
         if report is None:
             valid, out = _report(args, s)
             if json_list:
@@ -161,7 +164,7 @@ def cmd_report(args) -> int:
                 out = out.replace("\n", "\n  ")
             else:
                 out += "\n"
-            report = reports[s] = valid, out
+            report = reports[id(s)] = valid, out
         valid, out = report
         if not valid:
             status = 1

@@ -14,7 +14,8 @@ in ASCII only; term tokens are identifiers (letter first, then letters,
 digits or underscores) and keep their case.  Reserved words cannot be terms, which
 keeps ``is not`` unambiguous.  Corpus files hold one syllogism per block,
 blocks separated by blank lines; a corpus parses each distinct block text,
-and each distinct proposition text within its blocks, once.
+and each distinct proposition text within its blocks, once, and equal
+syllogisms in one corpus are one shared object.
 
 A ``#`` comment is ignored in every notation and runs to the end of its
 line.  A line ends at any break that ``str.splitlines`` recognises, so
@@ -108,8 +109,26 @@ _ASSUMPTION_OF_NAME = {
 }
 
 
+# a syllogism's fields, which hash in C, as the key of a parse's shared results
+_Key = tuple[PropKind, PropKind, PropKind, Figure, Assumption]
+
+
+def _syllogism(key: _Key, syllogisms: dict[_Key, Syllogism]) -> Syllogism:
+    """The syllogism with these fields, built once per ``syllogisms`` dict."""
+    s = syllogisms.get(key)
+    if s is None:
+        k1, k2, k3, figure, assumption = key
+        s = syllogisms[key] = Syllogism(Mood(k1, k2, k3), figure, assumption)
+    return s
+
+
 def parse_compact(text: str, offset: int = 0) -> Syllogism:
     """Parse ``MOOD-FIGURE`` notation, e.g. ``AAI-3 +M``."""
+    return _parse_compact(text, offset, {})
+
+
+def _parse_compact(text: str, offset: int, syllogisms: dict[_Key, Syllogism]) -> Syllogism:
+    """``parse_compact``, its result shared through ``syllogisms``."""
     m = _COMPACT_RE.match(text)
     if m is None:
         raise NotationError(
@@ -139,7 +158,7 @@ def parse_compact(text: str, offset: int = 0) -> Syllogism:
                 f"the assumption names one of the terms S, M or P, got {m[3]!r}",
                 SourceSpan(offset + m.start(3), offset + m.end(3)),
             )
-    return Syllogism(Mood(*kinds), figure, assumption)
+    return _syllogism((*kinds, figure, assumption), syllogisms)
 
 
 def render_compact(s: Syllogism) -> str:
@@ -212,14 +231,18 @@ def parse_syllogism_block(text: str, offset: int = 0) -> Syllogism:
     and the first premiss must carry the conclusion's predicate, the
     second its subject.
     """
-    return _parse_block(text, offset, {})
+    return _parse_block(text, offset, {}, {})
 
 
 def _parse_block(
-    text: str, offset: int, propositions: dict[str, tuple[PropKind, str, str]]
+    text: str,
+    offset: int,
+    propositions: dict[str, tuple[PropKind, str, str]],
+    syllogisms: dict[_Key, Syllogism],
 ) -> Syllogism:
     """``parse_syllogism_block``, looking each segment up in ``propositions``
-    before parsing it, and keeping there each segment that parses."""
+    before parsing it, keeping there each segment that parses, and sharing
+    its result through ``syllogisms``."""
     segments = _segments(text)
 
     assumed = None
@@ -278,7 +301,7 @@ def _parse_block(
             )
         assumption = _ASSUMPTION_OF_NAME[role[m[1]]]
 
-    return Syllogism(Mood(k1, k2, k3), figure, assumption)
+    return _syllogism((k1, k2, k3, figure, assumption), syllogisms)
 
 
 def render_block(s: Syllogism) -> str:
@@ -293,18 +316,22 @@ def render_block(s: Syllogism) -> str:
 
 def parse_any(text: str, offset: int = 0) -> Syllogism:
     """Parse either notation, routed on the input's shape; '#' comments are ignored."""
-    return _parse_any(text, offset, {})
+    return _parse_any(text, offset, {}, {})
 
 
 def _parse_any(
-    text: str, offset: int, propositions: dict[str, tuple[PropKind, str, str]]
+    text: str,
+    offset: int,
+    propositions: dict[str, tuple[PropKind, str, str]],
+    syllogisms: dict[_Key, Syllogism],
 ) -> Syllogism:
-    """``parse_any``, a block's propositions looked up in ``propositions`` first."""
+    """``parse_any``, a block's propositions looked up in ``propositions``
+    first and the result shared through ``syllogisms``."""
     # blank comments out in place so offsets into ``clean`` stay offsets into ``text``
     clean = _COMMENT_RE.sub(lambda m: " " * len(m[0]), text) if "#" in text else text
     if _COMPACT_RE.match(clean):
-        return parse_compact(clean, offset)
-    return _parse_block(text, offset, propositions)
+        return _parse_compact(clean, offset, syllogisms)
+    return _parse_block(text, offset, propositions, syllogisms)
 
 
 def parse_corpus(text: str) -> list[tuple[Syllogism, SourceSpan]]:
@@ -312,14 +339,21 @@ def parse_corpus(text: str) -> list[tuple[Syllogism, SourceSpan]]:
 
     Blocks that hold only comments are skipped; every other block goes
     through ``parse_any``, once per distinct text, and each distinct
-    proposition text in them is parsed once.
+    proposition text in them is parsed once.  Equal syllogisms in one
+    call are one object; separate calls share none.
     """
+    return [(s, SourceSpan(start, end)) for s, start, end in _parse_corpus(text)]
+
+
+def _parse_corpus(text: str) -> list[tuple[Syllogism, int, int]]:
+    """``parse_corpus``, each block's span given as its start and end offsets."""
     results = []
     # a parse does not depend on the offset, and only blocks and propositions
     # that parse are kept, so a repeated text reuses its result and the first
     # bad block still raises at its own span
     parsed: dict[str, Syllogism] = {}
     propositions: dict[str, tuple[PropKind, str, str]] = {}
+    syllogisms: dict[_Key, Syllogism] = {}
     start = 0
     for blank, group in groupby(text.splitlines(keepends=True), key=str.isspace):
         block = "".join(group)
@@ -328,8 +362,8 @@ def parse_corpus(text: str) -> list[tuple[Syllogism, SourceSpan]]:
             s = parsed.get(block)
             # a block that is not blank and holds no '#' has text outside comments
             if s is None and ("#" not in block or _COMMENT_RE.sub("", block).strip()):
-                s = parsed[block] = _parse_any(block, start, propositions)
+                s = parsed[block] = _parse_any(block, start, propositions, syllogisms)
             if s is not None:
-                results.append((s, SourceSpan(start, end)))
+                results.append((s, start, end))
         start = end
     return results

@@ -404,6 +404,25 @@ def test_corpus_renders_each_distinct_syllogism_once(tmp_path, capsys, monkeypat
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("argv", [("check",), ("trace", "--format", "json"), ("parse",)])
+def test_corpus_hashes_no_syllogism(tmp_path, capsys, monkeypatch, argv):
+    # equal syllogisms are one object, and the report cache is keyed by identity
+    corpus = tmp_path / "repeats.syl"
+    corpus.write_text(REPEATS)
+    calls = []
+    to_hash = syllogist.Syllogism.__hash__
+
+    def counting_hash(s):
+        calls.append(s)
+        return to_hash(s)
+
+    monkeypatch.setattr(syllogist.Syllogism, "__hash__", counting_hash)
+    code, out, _ = run(capsys, *argv, "--corpus", str(corpus))
+    assert code == (argv[0] != "parse")
+    assert out.count("AAA-1") == 4
+    assert calls == []
+
+
 def json_entry(command, s, label):
     """The json object the CLI prints for one input, built from the library."""
     if command == "parse":

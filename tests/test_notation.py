@@ -367,9 +367,9 @@ def test_parse_corpus_parses_each_distinct_block_once(monkeypatch):
 
     parse_block_or_compact = notation._parse_any
 
-    def counting_parse_any(block, offset, propositions):
+    def counting_parse_any(block, offset, propositions, syllogisms):
         calls.append(block)
-        return parse_block_or_compact(block, offset, propositions)
+        return parse_block_or_compact(block, offset, propositions, syllogisms)
 
     monkeypatch.setattr(notation, "_parse_any", counting_parse_any)
     parsed = parse_corpus(text)
@@ -381,6 +381,49 @@ def test_parse_corpus_parses_each_distinct_block_once(monkeypatch):
         ("AAA-1", 21, 27),
         ("EAE-1", 28, 34),
     ]
+
+
+# AAA-1 +M four ways: compact, as a block, with renamed terms over three
+# lines, and in lower case behind a comment; EAO-3 +M twice; AAA-1 once
+SHARED = (
+    "AAA-1 +M\n\n"
+    "All M is P; All S is M; All S is P; assuming some M\n\n"
+    "All dog is animal\nAll puppy is dog\nAll puppy is animal\nassuming some dog\n\n"
+    "# again\naaa-1+m\n\n"
+    "EAO-3 +M\n\n"
+    "No M is P; All M is S; Some S is not P  # c\nassuming some M\n\n"
+    "AAA-1\n"
+)
+
+
+def test_parse_corpus_shares_one_object_per_distinct_syllogism():
+    parsed = [s for s, _span in parse_corpus(SHARED)]
+    assert [str(s) for s in parsed] == ["AAA-1 +M"] * 4 + ["EAO-3 +M"] * 2 + ["AAA-1"]
+    assert all(s is parsed[0] for s in parsed[1:4])
+    assert parsed[5] is parsed[4]
+    again = [s for s, _span in parse_corpus(SHARED)]
+    assert again == parsed
+    # both lists are alive, so distinct objects have distinct ids
+    assert not {id(s) for s in again} & {id(s) for s in parsed}
+    for parse in (parse_any, parse_compact):
+        assert parse("AAA-1 +M") == parsed[0] and parse("AAA-1 +M") is not parse("AAA-1 +M")
+    block = "All M is P; All S is M; All S is P"
+    assert parse_syllogism_block(block) is not parse_syllogism_block(block)
+
+
+def test_parse_corpus_builds_each_distinct_syllogism_once(monkeypatch):
+    calls = []
+    build = Syllogism.__init__
+
+    def counting_init(self, *args):
+        calls.append(args)
+        build(self, *args)
+
+    monkeypatch.setattr(Syllogism, "__init__", counting_init)
+    for _ in range(2):
+        calls.clear()
+        parse_corpus(SHARED)
+        assert len(set(calls)) == len(calls) == 3
 
 
 def test_parse_corpus_reports_a_bad_block_after_repeats_at_its_own_span():
