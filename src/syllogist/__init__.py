@@ -5,9 +5,11 @@ diagrams to a normal form and matching the conclusion's shape, and by
 exhaustively enumerating region models as a semantic oracle.  The catalog
 module runs both over every mood and figure and checks they agree.
 
-The calculus and the notation load with the package.  The names of the
-oracle (``regions``) and the catalog load on first use (PEP 562), so a
-process that only decides or parses never imports them.
+The calculus (``chains`` and ``inference``) loads with the package.  The
+names of the notation, the oracle (``regions``) and the catalog load on
+first use (PEP 562), so a process imports the parser only when it parses
+and the oracle and the catalog only when it runs them.  ``__all__`` lists
+every public name, so ``from syllogist import *`` loads all three.
 """
 
 from .chains import (
@@ -51,28 +53,28 @@ from .inference import (
     reduce_at,
     reducible_positions,
 )
-from .notation import (
-    AmbiguousTerms,
-    BadFigure,
-    BadMoodLetter,
-    NotASyllogism,
-    NotationError,
-    SourceSpan,
-    parse_any,
-    parse_compact,
-    parse_corpus,
-    parse_proposition,
-    parse_syllogism_block,
-    render_block,
-    render_compact,
-    render_proposition,
-)
-
 __version__ = "0.1.0"
 
 # the names that load on first use, by module
+_NOTATION = frozenset({
+    "AmbiguousTerms",
+    "BadFigure",
+    "BadMoodLetter",
+    "NotASyllogism",
+    "NotationError",
+    "SourceSpan",
+    "parse_any",
+    "parse_compact",
+    "parse_corpus",
+    "parse_proposition",
+    "parse_syllogism_block",
+    "render_block",
+    "render_compact",
+    "render_proposition",
+})
 _REGIONS = frozenset({
     "MAX_TERMS",
+    "MAX_VENN_TERMS",
     "ModelSpace",
     "RegionModel",
     "TooManyTerms",
@@ -96,10 +98,19 @@ _CATALOG = frozenset({
     "mutually_excluded",
     "opposition_laws",
 })
+_LAZY = _NOTATION | _REGIONS | _CATALOG
+
+# every public name, the submodules aside: a star-import resolves the
+# lazy ones through __getattr__, loading their modules
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")} - {"chains", "inference"} | _LAZY
+)
 
 
 def __getattr__(name: str):
-    if name in _REGIONS:
+    if name in _NOTATION:
+        from . import notation as module
+    elif name in _REGIONS:
         from . import regions as module
     elif name in _CATALOG:
         from . import catalog as module
@@ -109,4 +120,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | _REGIONS | _CATALOG)
+    return sorted(globals().keys() | _LAZY)

@@ -24,9 +24,11 @@ prints is the text of ``json.dumps(entries, indent=2)``.  Equal syllogisms
 in a corpus are one object, so the run's cache of reports is keyed by
 identity (``id``) and a repeated block costs one lookup in C.
 
-A process imports what its command runs: the catalog and the oracle
-only for ``tables``, ``laws`` and ``count``, ``json`` only for
-``--format json``.
+A process imports what its command runs: the parser (``notation``) only
+for ``check``, ``trace`` and ``parse``, the catalog and the oracle only
+for ``tables``, ``laws`` and ``count``, ``json`` only for ``--format
+json``.  So ``import syllogist.cli`` loads the calculus and no parser, and
+a ``NotationError`` is caught where the report path parses.
 """
 
 from __future__ import annotations
@@ -45,10 +47,11 @@ from .inference import (
     normalize,
     premiss_chain,
 )
-from .notation import NotationError, _parse_corpus, parse_any, render_block
 
 
 def _load_inputs(args) -> list[Syllogism]:
+    from .notation import NotationError, _parse_corpus, parse_any
+
     if args.corpus is not None:
         # newline="" keeps '\r\n' as written, so spans are offsets into the file;
         # utf-8-sig drops a leading byte order mark, so they count from after it
@@ -103,6 +106,8 @@ def _report(args, s: Syllogism) -> tuple[bool, str]:
     """
     label = str(s) if args.corpus is not None else args.notation
     if args.command == "parse":
+        from .notation import render_block
+
         if args.format == "json":
             return True, _json({
                 "input": label,
@@ -147,14 +152,22 @@ def cmd_report(args) -> int:
     A run builds each distinct input's report once, its line break
     included, and writes the cached text for every input.  A corpus in
     json prints one list, assembled from each distinct entry's text.
+    Every input parses before the first report is printed, so a parse
+    error prints nothing else.
     """
+    from .notation import NotationError
+
+    try:
+        inputs = _load_inputs(args)
+    except NotationError as err:
+        return _fail(err, f" (chars {err.span.start}..{err.span.end})" if err.span else "")
     status = 0
     entries = []
     json_list = args.format == "json" and args.corpus is not None
     # keyed by identity: the input list keeps every key alive for the run,
     # and a corpus gives equal syllogisms as one object
     reports: dict[int, tuple[bool, str]] = {}
-    for s in _load_inputs(args):
+    for s in inputs:
         report = reports.get(id(s))
         if report is None:
             valid, out = _report(args, s)
@@ -314,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("tables", cmd_tables, "enumerate all moods and figures", False, ("text", "json"))
     add("laws", cmd_laws, "run the square-of-opposition laws", False, ("text", "json"))
     count_p = add("count", cmd_count, "count valid n-term syllogisms", False, ("text", "json"))
+    # 6 is catalog.MAX_COUNT_TERMS, which building the parser must not import
     count_p.add_argument("n", type=int, help="number of terms (3 to 6)")
     add("parse", cmd_report, "echo the canonical forms", True, ("text", "json"))
     return parser
@@ -328,8 +342,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotationError as err:
-        return _fail(err, f" (chars {err.span.start}..{err.span.end})" if err.span else "")
     except (ChainError, OSError, UnicodeDecodeError) as err:
         return _fail(err)
 

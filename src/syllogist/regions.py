@@ -33,6 +33,9 @@ from .inference import (
 )
 
 MAX_TERMS = 4  # 2^(2^4) = 65 536 models; beyond that enumeration stops being a tool
+# 2^16 atoms: the first query takes about 0.1 s at 16 terms, 1 s at 18 and
+# 14 s at 20 (2-vCPU x86-64, Python 3.11), each region mask being 2^k bits
+MAX_VENN_TERMS = 16
 
 
 class UnknownTerm(ValueError):
@@ -40,7 +43,7 @@ class UnknownTerm(ValueError):
 
 
 class TooManyTerms(ValueError):
-    """More terms than the enumeration cap allows."""
+    """More terms than an oracle's cap allows."""
 
 
 def _check_terms(terms: tuple[TermId, ...]) -> None:
@@ -105,6 +108,8 @@ class ModelSpace:
     Model m is the pattern whose inhabitation mask is m.  Proposition truth
     is evaluated across the whole space at once, as a bit vector, and
     cached, so repeated entailment queries over the same terms are cheap.
+    The cache is keyed by ``(kind, subject, predicate)``, a tuple that
+    hashes in C, not by the ``Proposition``, whose ``__hash__`` is Python.
     """
 
     def __init__(self, terms: Sequence[TermId]):
@@ -116,21 +121,22 @@ class ModelSpace:
         self._size = 1 << n_atoms
         self._all = (1 << self._size) - 1
         self._atoms = [_atom_vector(a, self._size) for a in range(n_atoms)]
-        self._truth: dict[Proposition, int] = {}
+        self._truth: dict[tuple[PropKind, TermId, TermId], int] = {}
 
     def __len__(self) -> int:
         return self._size
 
     def truth(self, p: Proposition) -> int:
         """Truth vector of ``p``: bit m is its truth in model m."""
-        cached = self._truth.get(p)
+        key = p.kind, p.subject, p.predicate
+        cached = self._truth.get(key)
         if cached is not None:
             return cached
         hits = 0
         for atom in region_atoms(p, self.terms):
             hits |= self._atoms[atom]
         result = hits if p.kind.particular else self._all ^ hits
-        self._truth[p] = result
+        self._truth[key] = result
         return result
 
     def entails(
@@ -171,18 +177,23 @@ class VennSpace:
     when each particular one's region keeps an atom that no universal one
     empties (the model inhabiting every such atom shows it), so the query is
     entailed exactly when some particular region lies inside that union.
+    A region mask has 2^k bits, so k is capped at ``MAX_VENN_TERMS``.
     """
 
     def __init__(self, terms: Sequence[TermId]):
         self.terms = tuple(terms)
+        if len(self.terms) > MAX_VENN_TERMS:
+            raise TooManyTerms(f"at most {MAX_VENN_TERMS} terms, got {len(self.terms)}")
         _check_terms(self.terms)
-        self._regions: dict[Proposition, tuple[bool, int]] = {}  # particular?, region mask
+        # (kind, subject, predicate) -> (particular?, region mask), keyed as in ModelSpace
+        self._regions: dict[tuple[PropKind, TermId, TermId], tuple[bool, int]] = {}
 
     def _region(self, p: Proposition) -> tuple[bool, int]:
-        known = self._regions.get(p)
+        key = p.kind, p.subject, p.predicate
+        known = self._regions.get(key)
         if known is None:
             mask = sum(1 << a for a in region_atoms(p, self.terms))
-            known = self._regions[p] = (p.kind.particular, mask)
+            known = self._regions[key] = (p.kind.particular, mask)
         return known
 
     def entails(

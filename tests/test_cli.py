@@ -89,6 +89,22 @@ def test_missing_input(capsys):
     assert "nothing to parse" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("check", "AAB-1"), "mood letters are A, E, I or O, got 'B' (chars 2..3)"),
+    (("trace", "--format", "json", "All_M"),
+     "a syllogism block holds exactly three propositions, found 1 (chars 0..5)"),
+    (("check", "--corpus", "bad.syl"),
+     "expected 'All X is Y', 'No X is Y', 'Some X is Y' or 'Some X is not Y' (chars 19..28)"),
+    (("parse",), "nothing to parse: give a syllogism or --corpus FILE"),
+    (("check", "--format", "dot"), "nothing to parse: give a syllogism or --corpus FILE"),
+])
+def test_every_notation_error_exits_2_with_its_span(tmp_path, monkeypatch, capsys, argv, message):
+    # the report path catches the parser's error itself; main never imports it
+    (tmp_path / "bad.syl").write_text("AAA-1\n\nAll M is P; Some S is; All S is P\n")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["check", "trace", "parse"])
 def test_empty_corpus_name_is_a_missing_file(capsys, command):
     code, out, err = run(capsys, command, "--corpus", "")
@@ -495,6 +511,14 @@ def test_parse_round_trip(capsys):
     assert out.strip() == "EIO-2 = No P is M; Some S is M; Some S is not P"
 
 
+def test_count_help_names_the_supported_range(capsys):
+    # the parser is built without importing the catalog, so it cannot read the cap
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--help"])
+    assert exc.value.code == 0
+    assert f"number of terms (3 to {catalog.MAX_COUNT_TERMS})" in " ".join(capsys.readouterr().out.split())
+
+
 def test_parse_json(capsys):
     code, out, _ = run(capsys, "parse", "--format", "json", "AAI-4 +P")
     assert code == 0
@@ -519,12 +543,14 @@ def test_cli_import_stays_light():
     )
 
 
-# runs one command in this process, then lists the modules it loaded on stderr
+# runs one command in this process (none when no argv is given), then lists
+# the modules it loaded on stderr
 IMPORT_SET_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from syllogist.cli import main
-main(sys.argv[2:])
+if sys.argv[2:]:
+    main(sys.argv[2:])
 print(*sorted(sys.modules), file=sys.stderr)
 """
 CHECK_PATH_NEVER_LOADS = {
@@ -561,3 +587,17 @@ def test_json_output_loads_json_and_tables_load_the_catalog():
     assert "json" in loaded
     assert loaded.isdisjoint({"syllogist.regions", "syllogist.catalog"})
     assert {"syllogist.regions", "syllogist.catalog"} <= loaded_modules("tables")
+
+
+def test_importing_the_cli_loads_the_calculus_and_no_parser():
+    loaded = loaded_modules()
+    package = {name for name in loaded if name.split(".")[0] == "syllogist"}
+    assert package == {"syllogist", "syllogist.chains", "syllogist.inference", "syllogist.cli"}
+
+
+@pytest.mark.parametrize("argv", [("tables",), ("laws",), ("count", "4")])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_catalog_commands_load_no_parser(argv, fmt):
+    loaded = loaded_modules(argv[0], "--format", fmt, *argv[1:])
+    assert {"syllogist.regions", "syllogist.catalog"} <= loaded
+    assert "syllogist.notation" not in loaded

@@ -9,6 +9,8 @@ from syllogist import (
     Assumption,
     Figure,
     Mood,
+    MAX_COUNT_TERMS,
+    MAX_VENN_TERMS,
     ModelSpace,
     PropKind,
     Proposition,
@@ -18,6 +20,8 @@ from syllogist import (
     UnknownTerm,
     Validity,
     VennSpace,
+    count_valid_nterm,
+    enumerate_all,
     eval_proposition,
     semantic_verdict,
     space_for,
@@ -75,6 +79,15 @@ def test_model_space_sizes():
 def test_model_space_caps_terms():
     with pytest.raises(TooManyTerms):
         ModelSpace(("A", "B", "C", "D", "E"))
+
+
+def test_venn_space_caps_terms():
+    assert MAX_COUNT_TERMS <= MAX_VENN_TERMS
+    terms = tuple(f"T{i}" for i in range(MAX_VENN_TERMS + 1))
+    venn = VennSpace(terms[:-1])
+    assert venn.entails([prop("A", "T0", "T1")], prop("A", "T0", "T1"))
+    with pytest.raises(TooManyTerms, match=f"at most {MAX_VENN_TERMS} terms, got {len(terms)}"):
+        VennSpace(terms)
 
 
 def test_unknown_term():
@@ -196,6 +209,41 @@ def test_venn_space_agrees_with_enumeration(query):
     terms, premisses, assumptions, conclusion = query
     expected = space_for(terms).entails(premisses, conclusion, assumptions)
     assert VennSpace(terms).entails(premisses, conclusion, assumptions) == expected
+
+
+def test_oracles_hash_no_proposition(monkeypatch):
+    # both oracles key their caches by (kind, subject, predicate), hashed in C
+    calls = []
+    to_hash = Proposition.__hash__
+
+    def counting_hash(p):
+        calls.append(p)
+        return to_hash(p)
+
+    monkeypatch.setattr(Proposition, "__hash__", counting_hash)
+    space_for.cache_clear()
+    assert count_valid_nterm(4) == 44
+    assert len(enumerate_all()) == 1024
+    assert calls == []
+
+
+def separately_built(p: Proposition) -> Proposition:
+    """An equal proposition that shares no term string with ``p``."""
+    return Proposition(p.kind, "".join(list(p.subject)), "".join(list(p.predicate)))
+
+
+def test_equal_propositions_get_equal_answers():
+    # each oracle answers an equal, separately built query as it answers the
+    # original, and as an oracle with nothing cached yet does
+    terms = ("dogs", "cats", "birds")
+    props = [Proposition(kind, x, y) for kind in PropKind for x in terms for y in terms]
+    oracles = ModelSpace(terms), VennSpace(terms)
+    for p, q in product(props, repeat=2):
+        p2, q2 = separately_built(p), separately_built(q)
+        assert p2.subject is not p.subject
+        expected = ModelSpace(terms).entails([p], q)
+        for oracle in oracles:
+            assert oracle.entails([p], q) == oracle.entails([p2], q2) == expected
 
 
 def test_venn_space_checks_its_terms():

@@ -3,6 +3,7 @@
 import copy
 import pickle
 from enum import Enum
+from types import ModuleType
 
 import pytest
 
@@ -195,8 +196,8 @@ def test_keyword_arguments_and_defaults():
 
 EXPORTS = """
 AmbiguousTerms Arrow Assumption BULLET BadFigure BadMoodLetter Chain ChainError
-Figure JunctionMismatch LawResult MAJOR MAX_COUNT_TERMS MAX_TERMS MIDDLE MINOR
-ModelSpace Mood NoSuchOccurrence NotASyllogism NotReducible NotationError
+Figure JunctionMismatch LawResult MAJOR MAX_COUNT_TERMS MAX_TERMS MAX_VENN_TERMS
+MIDDLE MINOR ModelSpace Mood NoSuchOccurrence NotASyllogism NotReducible NotationError
 PropKind Proposition ReductionStep RegionModel SourceSpan Syllogism TableRow
 TermId TermNotInChain TooManyTerms Trace UnknownTerm UnsupportedN Validity
 VennSpace Verdict all_moods all_syllogisms assumption_proposition chain_along
@@ -215,6 +216,19 @@ def test_every_exported_name_imports_from_the_package(name):
     exec(f"from syllogist import {name}", namespace)
     assert namespace[name] is getattr(syllogist, name)
     assert name in dir(syllogist)
+
+
+def test_star_import_holds_every_public_name():
+    namespace = {}
+    exec("from syllogist import *", namespace)
+    public = {
+        name for name in dir(syllogist)
+        if not name.startswith("_") and not isinstance(getattr(syllogist, name), ModuleType)
+    }
+    assert public == set(EXPORTS)
+    assert public <= namespace.keys()
+    for name in public:
+        assert namespace[name] is getattr(syllogist, name)
 
 
 def test_an_unknown_name_is_an_attribute_error():
