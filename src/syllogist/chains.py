@@ -56,9 +56,10 @@ class _Value:
     in its ``__init__`` through ``object.__setattr__``.  Equality and
     hashing go by class and field values, ``repr`` reads
     ``Name(field=value, ...)``, and copying and pickling rebuild the value
-    through its constructor, so its checks run again.  The classes that
-    are hashed or compared on every call override ``__eq__`` and
-    ``__hash__`` with explicit field tuples, which are faster.
+    through its constructor, so its checks run again.  No subclass
+    overrides equality or hashing: no command compares or hashes a value,
+    since the caches key by field tuples or by identity and
+    ``match_conclusion`` compares a chain's node and arrow tuples.
     """
 
     __slots__ = ()
@@ -89,18 +90,15 @@ class _Value:
 
 
 class _Bullet:
-    """The anonymous marker node.  Never equal to any term identifier."""
+    """The anonymous marker node.  ``BULLET`` is the one instance; copy and pickle return it."""
 
     __slots__ = ()
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Bullet)
-
-    def __hash__(self) -> int:
-        return hash(_Bullet)
-
     def __repr__(self) -> str:
         return "*"
+
+    def __reduce__(self) -> str:
+        return "BULLET"
 
 
 BULLET = _Bullet()
@@ -109,7 +107,7 @@ Node = TermId | _Bullet
 
 
 def is_bullet(node: object) -> bool:
-    return isinstance(node, _Bullet)
+    return node is BULLET
 
 
 def is_term(node: object) -> bool:
@@ -186,16 +184,6 @@ class Proposition(_Value):
         _check_term(self.subject)
         _check_term(self.predicate)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.subject, self.predicate) == (
-            other.kind, other.subject, other.predicate
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.subject, self.predicate))
-
     def __str__(self) -> str:
         return f"{self.kind.value}({self.subject},{self.predicate})"
 
@@ -245,14 +233,6 @@ class Chain(_Value):
         object.__setattr__(chain, "arrows", arrows)
         return chain
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.nodes, self.arrows) == (other.nodes, other.arrows)
-
-    def __hash__(self) -> int:
-        return hash((self.nodes, self.arrows))
-
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -273,7 +253,7 @@ class Chain(_Value):
 
     @property
     def bullet_count(self) -> int:
-        return sum(1 for node in self.nodes if is_bullet(node))
+        return self.nodes.count(BULLET)
 
     def occurrences(self, term: TermId) -> list[int]:
         """Node indices at which ``term`` occurs, leftmost first."""

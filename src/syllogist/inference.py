@@ -80,16 +80,6 @@ class Mood(_Value):
         object.__setattr__(self, "second", second)
         object.__setattr__(self, "conclusion", conclusion)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.first, self.second, self.conclusion) == (
-            other.first, other.second, other.conclusion
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.first, self.second, self.conclusion))
-
     @classmethod
     def from_text(cls, letters: str) -> "Mood":
         if len(letters) != 3:
@@ -130,16 +120,6 @@ class Syllogism(_Value):
         object.__setattr__(self, "mood", mood)
         object.__setattr__(self, "figure", figure)
         object.__setattr__(self, "assumption", assumption)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.mood, self.figure, self.assumption) == (
-            other.mood, other.figure, other.assumption
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.mood, self.figure, self.assumption))
 
     def __str__(self) -> str:
         text = f"{self.mood}-{self.figure.value}"
@@ -280,8 +260,9 @@ def normalize(chain: Chain) -> Trace:
 
 
 def match_conclusion(chain: Chain, conclusion: Proposition) -> bool:
-    """Exact match against the conclusion's diagram, node for node."""
-    return chain == diagram(conclusion)
+    """Exact match against the conclusion's diagram, node for node, as tuples."""
+    goal = diagram(conclusion)
+    return chain.nodes == goal.nodes and chain.arrows == goal.arrows
 
 
 def figure_of(first: tuple[TermId, TermId], second: tuple[TermId, TermId]) -> Figure:

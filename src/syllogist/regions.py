@@ -11,6 +11,7 @@ once, a truth vector being an ``int`` whose bit m is the truth in model m
 (Knuth, TAOCP 4A 7.1).  It stays, up to ``MAX_TERMS``, as the simple
 oracle for the tables and the check on ``VennSpace(terms)``, which
 decides the same query in closed form, so the n-term counts go further.
+Both read a proposition as ``region_mask``, built from two term masks.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .inference import (
 )
 
 MAX_TERMS = 4  # 2^(2^4) = 65 536 models; beyond that enumeration stops being a tool
-# 2^16 atoms: the first query takes about 0.1 s at 16 terms, 1 s at 18 and
-# 14 s at 20 (2-vCPU x86-64, Python 3.11), each region mask being 2^k bits
+# a memory bound: each region mask holds 2^k bits, 8 KiB at 16 terms but
+# 128 MiB at 30, while building one takes O(k) shifts and ors
 MAX_VENN_TERMS = 16
 
 
@@ -58,21 +59,17 @@ def _term_index(terms: tuple[TermId, ...], name: TermId) -> int:
         raise UnknownTerm(f"term {name!r} is not among {terms!r}") from None
 
 
-def region_atoms(p: Proposition, terms: tuple[TermId, ...]) -> list[int]:
-    """Atoms of the region a proposition talks about.
+def region_mask(p: Proposition, terms: tuple[TermId, ...]) -> int:
+    """The region a proposition talks about: bit a set for each atom a in it.
 
     A and O quantify over subject-minus-predicate, E and I over the
     intersection.  Atom ``a`` lies inside term ``j`` exactly when bit j of
-    ``a`` is set.
+    ``a`` is set, so term j's mask is ``_atom_vector(j, 2^k)``.
     """
-    x = _term_index(terms, p.subject)
-    y = _term_index(terms, p.predicate)
-    inside_y = p.kind in (PropKind.E, PropKind.I)
-    return [
-        a
-        for a in range(1 << len(terms))
-        if (a >> x) & 1 and bool((a >> y) & 1) == inside_y
-    ]
+    n_atoms = 1 << len(terms)
+    x = _atom_vector(_term_index(terms, p.subject), n_atoms)
+    y = _atom_vector(_term_index(terms, p.predicate), n_atoms)
+    return x & y if p.kind in (PropKind.E, PropKind.I) else x & ~y
 
 
 class RegionModel(_Value):
@@ -98,7 +95,7 @@ class RegionModel(_Value):
 
 def eval_proposition(p: Proposition, model: RegionModel) -> bool:
     """Truth of one proposition in one model."""
-    hit = any(model.is_inhabited(a) for a in region_atoms(p, model.terms))
+    hit = bool(model.inhabited & region_mask(p, model.terms))
     return hit if p.kind.particular else not hit
 
 
@@ -109,7 +106,7 @@ class ModelSpace:
     is evaluated across the whole space at once, as a bit vector, and
     cached, so repeated entailment queries over the same terms are cheap.
     The cache is keyed by ``(kind, subject, predicate)``, a tuple that
-    hashes in C, not by the ``Proposition``, whose ``__hash__`` is Python.
+    hashes in C, not by the ``Proposition``.
     """
 
     def __init__(self, terms: Sequence[TermId]):
@@ -132,9 +129,11 @@ class ModelSpace:
         cached = self._truth.get(key)
         if cached is not None:
             return cached
+        mask = region_mask(p, self.terms)
         hits = 0
-        for atom in region_atoms(p, self.terms):
-            hits |= self._atoms[atom]
+        for atom, vector in enumerate(self._atoms):
+            if mask >> atom & 1:
+                hits |= vector
         result = hits if p.kind.particular else self._all ^ hits
         self._truth[key] = result
         return result
@@ -155,13 +154,15 @@ class ModelSpace:
         return not antecedent & ~self.truth(conclusion)
 
 
-def _atom_vector(atom: int, size: int) -> int:
-    """Bit m set exactly when atom ``atom`` is inhabited in model m.
+def _atom_vector(bit: int, size: int) -> int:
+    """The ``size``-bit vector whose bit m is bit ``bit`` of m.
 
-    Bit ``atom`` of m runs in blocks of 2^atom zeros then 2^atom ones; the
-    first period is built directly and then doubled up to ``size`` bits.
+    Over models it marks the models inhabiting atom ``bit``; over atoms,
+    the atoms inside term ``bit``.  Bit ``bit`` of m runs in blocks of
+    2^bit zeros then 2^bit ones; the first period is built directly and
+    then doubled up to ``size`` bits.
     """
-    half = 1 << atom
+    half = 1 << bit
     vector = ((1 << half) - 1) << half
     width = half << 1
     while width < size:
@@ -192,7 +193,7 @@ class VennSpace:
         key = p.kind, p.subject, p.predicate
         known = self._regions.get(key)
         if known is None:
-            mask = sum(1 << a for a in region_atoms(p, self.terms))
+            mask = region_mask(p, self.terms)
             known = self._regions[key] = (p.kind.particular, mask)
         return known
 

@@ -23,6 +23,7 @@ from syllogist import (
     reducible_positions,
     splice_existence,
 )
+from syllogist.chains import _Value
 
 L, R = Arrow.LEFT, Arrow.RIGHT
 
@@ -33,6 +34,24 @@ def prop(kind, subject, predicate):
 
 def ch(text):
     return chain_from_text(text)
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.name`` so that each call appends its first argument."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(value, *args):
+        calls.append(value)
+        return original(value, *args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def count_value_equality(monkeypatch) -> list:
+    """Record every call of the value classes' one ``__eq__`` and ``__hash__``."""
+    return [count_calls(monkeypatch, _Value, name) for name in ("__eq__", "__hash__")]
 
 
 # --- strategies -------------------------------------------------------------

@@ -11,6 +11,8 @@ import syllogist
 from syllogist import catalog, cli, decide, normalize, parse_any, parse_corpus, premiss_chain, render_block
 from syllogist.cli import main, trace_dot
 
+from test_chains import count_calls, count_value_equality
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -422,21 +424,17 @@ def test_corpus_renders_each_distinct_syllogism_once(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("argv", [("check",), ("trace", "--format", "json"), ("parse",)])
 def test_corpus_hashes_no_syllogism(tmp_path, capsys, monkeypatch, argv):
-    # equal syllogisms are one object, and the report cache is keyed by identity
+    # equal syllogisms are one object, and the report cache is keyed by identity;
+    # match_conclusion compares tuples, so no value is compared or hashed at all
     corpus = tmp_path / "repeats.syl"
     corpus.write_text(REPEATS)
-    calls = []
-    to_hash = syllogist.Syllogism.__hash__
-
-    def counting_hash(s):
-        calls.append(s)
-        return to_hash(s)
-
-    monkeypatch.setattr(syllogist.Syllogism, "__hash__", counting_hash)
+    calls = count_calls(monkeypatch, syllogist.Syllogism, "__hash__")
+    value_calls = count_value_equality(monkeypatch)
     code, out, _ = run(capsys, *argv, "--corpus", str(corpus))
     assert code == (argv[0] != "parse")
     assert out.count("AAA-1") == 4
     assert calls == []
+    assert value_calls == [[], []]
 
 
 def json_entry(command, s, label):

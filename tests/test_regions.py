@@ -26,8 +26,9 @@ from syllogist import (
     semantic_verdict,
     space_for,
 )
+from syllogist.regions import region_mask
 
-from test_chains import prop
+from test_chains import count_calls, count_value_equality, prop
 from test_inference import syl
 
 AB = ("A", "B")
@@ -86,8 +87,25 @@ def test_venn_space_caps_terms():
     terms = tuple(f"T{i}" for i in range(MAX_VENN_TERMS + 1))
     venn = VennSpace(terms[:-1])
     assert venn.entails([prop("A", "T0", "T1")], prop("A", "T0", "T1"))
+    # a chain across the whole term list, at exactly the cap
+    premisses = [prop("A", "T0", "T1"), prop("A", "T1", terms[-2])]
+    assert venn.entails(premisses, prop("A", "T0", terms[-2]))
+    assert not venn.entails(premisses, prop("I", "T0", terms[-2]))
     with pytest.raises(TooManyTerms, match=f"at most {MAX_VENN_TERMS} terms, got {len(terms)}"):
         VennSpace(terms)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_region_mask_is_the_atoms_of_the_region(k):
+    # A and O: inside the subject, outside the predicate; E and I: inside both
+    terms = tuple(f"T{i}" for i in range(k))
+    for kind in PropKind:
+        inside_y = kind in (PropKind.E, PropKind.I)
+        for x, y in product(range(k), repeat=2):
+            expected = sum(
+                1 << a for a in range(1 << k) if a >> x & 1 and bool(a >> y & 1) == inside_y
+            )
+            assert region_mask(Proposition(kind, terms[x], terms[y]), terms) == expected
 
 
 def test_unknown_term():
@@ -212,19 +230,15 @@ def test_venn_space_agrees_with_enumeration(query):
 
 
 def test_oracles_hash_no_proposition(monkeypatch):
-    # both oracles key their caches by (kind, subject, predicate), hashed in C
-    calls = []
-    to_hash = Proposition.__hash__
-
-    def counting_hash(p):
-        calls.append(p)
-        return to_hash(p)
-
-    monkeypatch.setattr(Proposition, "__hash__", counting_hash)
+    # both oracles key their caches by (kind, subject, predicate), hashed in C,
+    # and neither they nor the calculus compare or hash any value
+    calls = count_calls(monkeypatch, Proposition, "__hash__")
+    value_calls = count_value_equality(monkeypatch)
     space_for.cache_clear()
     assert count_valid_nterm(4) == 44
     assert len(enumerate_all()) == 1024
     assert calls == []
+    assert value_calls == [[], []]
 
 
 def separately_built(p: Proposition) -> Proposition:

@@ -9,6 +9,7 @@ import pytest
 
 import syllogist
 from syllogist import (
+    BULLET,
     Arrow,
     Assumption,
     Chain,
@@ -150,13 +151,31 @@ def test_every_package_enum_is_listed():
     assert {v for v in exported if isinstance(v, type) and issubclass(v, Enum)} == set(ENUMS)
 
 
-@pytest.mark.parametrize("enum", ENUMS, ids=lambda enum: enum.__name__)
-def test_enum_members_survive_copy_and_pickle_as_themselves(enum):
-    for member in enum:
-        for clone in (
-            copy.copy(member), copy.deepcopy(member), pickle.loads(pickle.dumps(member))
-        ):
+# the package's singletons, by name: every enum's members, and the bullet
+SINGLETONS = {enum.__name__: tuple(enum) for enum in ENUMS} | {"BULLET": (BULLET,)}
+
+
+def clones(value):
+    """Copies of ``value`` by copy, deepcopy and pickle at every protocol."""
+    yield copy.copy(value)
+    yield copy.deepcopy(value)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(value, protocol))
+
+
+@pytest.mark.parametrize("name", SINGLETONS)
+def test_enum_members_survive_copy_and_pickle_as_themselves(name):
+    for member in SINGLETONS[name]:
+        for clone in clones(member):
             assert clone is member
+
+
+def test_cloned_chains_hold_the_bullet_itself():
+    chain = diagram(Proposition(PropKind.O, "S", "P"))
+    for clone in clones(chain):
+        assert clone == chain
+        assert [node is BULLET for node in clone.nodes] == [False, True, True, False]
+        assert clone.bullet_count == 2
 
 
 @pytest.mark.parametrize("enum", ENUMS, ids=lambda enum: enum.__name__)
