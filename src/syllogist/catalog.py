@@ -236,7 +236,7 @@ def count_valid_nterm(n: int, with_assumptions: bool = True) -> int:
     ``with_assumptions=False`` restricts the count to unconditionally
     valid candidates.
     """
-    if n not in range(3, MAX_COUNT_TERMS + 1):
+    if not isinstance(n, int) or n not in range(3, MAX_COUNT_TERMS + 1):
         raise UnsupportedN(f"n-term counting supports n from 3 to {MAX_COUNT_TERMS}, got {n!r}")
     terms = tuple(f"T{i}" for i in range(1, n + 1))
     space = VennSpace(terms)

@@ -13,9 +13,11 @@ Propositions use exactly the four templates ``All X is Y``, ``No X is Y``,
 in ASCII only; term tokens are identifiers (letter first, then letters,
 digits or underscores) and keep their case.  Reserved words cannot be terms, which
 keeps ``is not`` unambiguous.  Corpus files hold one syllogism per block,
-blocks separated by blank lines; a corpus parses each distinct block text,
-and each distinct proposition text within its blocks, once, and equal
-syllogisms in one corpus are one shared object.
+blocks separated by blank lines.
+
+Private parsers map text to a syllogism's fields and share nothing.
+Public parsers build values from those fields.  Only the corpus parser
+shares, one ``Syllogism`` object per distinct syllogism in a call.
 
 A ``#`` comment is ignored in every notation and runs to the end of its
 line.  A line ends at any break that ``str.splitlines`` recognises, so
@@ -109,32 +111,29 @@ _ASSUMPTION_OF_NAME = {
 }
 
 
-# a syllogism's fields, which hash in C, as the key of a parse's shared results
+# a syllogism's fields, which hash in C: what the private parsers return
 _Key = tuple[PropKind, PropKind, PropKind, Figure, Assumption]
 
 
-def _syllogism(key: _Key, syllogisms: dict[_Key, Syllogism]) -> Syllogism:
-    """The syllogism with these fields, built once per ``syllogisms`` dict."""
-    s = syllogisms.get(key)
-    if s is None:
-        k1, k2, k3, figure, assumption = key
-        s = syllogisms[key] = Syllogism(Mood(k1, k2, k3), figure, assumption)
-    return s
+def _syllogism(key: _Key) -> Syllogism:
+    """The syllogism with these fields."""
+    k1, k2, k3, figure, assumption = key
+    return Syllogism(Mood(k1, k2, k3), figure, assumption)
 
 
 def parse_compact(text: str, offset: int = 0) -> Syllogism:
     """Parse ``MOOD-FIGURE`` notation, e.g. ``AAI-3 +M``."""
-    return _parse_compact(text, offset, {})
-
-
-def _parse_compact(text: str, offset: int, syllogisms: dict[_Key, Syllogism]) -> Syllogism:
-    """``parse_compact``, its result shared through ``syllogisms``."""
     m = _COMPACT_RE.match(text)
     if m is None:
         raise NotationError(
             "expected MOOD-FIGURE notation such as 'EIO-2' or 'AAI-3 +M'",
             SourceSpan(offset, offset + len(text)),
         )
+    return _syllogism(_compact(m, offset))
+
+
+def _compact(m: re.Match, offset: int) -> _Key:
+    """The fields of a ``_COMPACT_RE`` match, its letters and digits checked."""
     kinds = []
     for k, letter in enumerate(m[1]):
         kind = _KIND_OF_LETTER.get(letter)
@@ -158,7 +157,7 @@ def _parse_compact(text: str, offset: int, syllogisms: dict[_Key, Syllogism]) ->
                 f"the assumption names one of the terms S, M or P, got {m[3]!r}",
                 SourceSpan(offset + m.start(3), offset + m.end(3)),
             )
-    return _syllogism((*kinds, figure, assumption), syllogisms)
+    return (*kinds, figure, assumption)
 
 
 def render_compact(s: Syllogism) -> str:
@@ -231,18 +230,12 @@ def parse_syllogism_block(text: str, offset: int = 0) -> Syllogism:
     and the first premiss must carry the conclusion's predicate, the
     second its subject.
     """
-    return _parse_block(text, offset, {}, {})
+    return _syllogism(_block(text, offset, {}))
 
 
-def _parse_block(
-    text: str,
-    offset: int,
-    propositions: dict[str, tuple[PropKind, str, str]],
-    syllogisms: dict[_Key, Syllogism],
-) -> Syllogism:
-    """``parse_syllogism_block``, looking each segment up in ``propositions``
-    before parsing it, keeping there each segment that parses, and sharing
-    its result through ``syllogisms``."""
+def _block(text: str, offset: int, propositions: dict[str, tuple[PropKind, str, str]]) -> _Key:
+    """The fields of a block, each segment looked up in ``propositions``
+    before it is parsed, and kept there once it parses."""
     segments = _segments(text)
 
     assumed = None
@@ -301,7 +294,7 @@ def _parse_block(
             )
         assumption = _ASSUMPTION_OF_NAME[role[m[1]]]
 
-    return _syllogism((k1, k2, k3, figure, assumption), syllogisms)
+    return k1, k2, k3, figure, assumption
 
 
 def render_block(s: Syllogism) -> str:
@@ -316,31 +309,25 @@ def render_block(s: Syllogism) -> str:
 
 def parse_any(text: str, offset: int = 0) -> Syllogism:
     """Parse either notation, routed on the input's shape; '#' comments are ignored."""
-    return _parse_any(text, offset, {}, {})
+    return _syllogism(_any(text, offset, {}))
 
 
-def _parse_any(
-    text: str,
-    offset: int,
-    propositions: dict[str, tuple[PropKind, str, str]],
-    syllogisms: dict[_Key, Syllogism],
-) -> Syllogism:
-    """``parse_any``, a block's propositions looked up in ``propositions``
-    first and the result shared through ``syllogisms``."""
+def _any(text: str, offset: int, propositions: dict[str, tuple[PropKind, str, str]]) -> _Key:
+    """The fields of either notation, a block's propositions looked up in
+    ``propositions`` first."""
     # blank comments out in place so offsets into ``clean`` stay offsets into ``text``
     clean = _COMMENT_RE.sub(lambda m: " " * len(m[0]), text) if "#" in text else text
-    if _COMPACT_RE.match(clean):
-        return _parse_compact(clean, offset, syllogisms)
-    return _parse_block(text, offset, propositions, syllogisms)
+    m = _COMPACT_RE.match(clean)
+    return _block(text, offset, propositions) if m is None else _compact(m, offset)
 
 
 def parse_corpus(text: str) -> list[tuple[Syllogism, SourceSpan]]:
     """Parse a corpus file: one syllogism per blank-line-separated block.
 
-    Blocks that hold only comments are skipped; every other block goes
-    through ``parse_any``, once per distinct text, and each distinct
-    proposition text in them is parsed once.  Equal syllogisms in one
-    call are one object; separate calls share none.
+    Blocks that hold only comments are skipped; every other block is parsed
+    as by ``parse_any``, once per distinct text, and each distinct proposition
+    text in them once.  Equal syllogisms in one call are one object, shared
+    through this call's dict from fields to ``Syllogism``; calls share none.
     """
     return [(s, SourceSpan(start, end)) for s, start, end in _parse_corpus(text)]
 
@@ -362,7 +349,9 @@ def _parse_corpus(text: str) -> list[tuple[Syllogism, int, int]]:
             s = parsed.get(block)
             # a block that is not blank and holds no '#' has text outside comments
             if s is None and ("#" not in block or _COMMENT_RE.sub("", block).strip()):
-                s = parsed[block] = _parse_any(block, start, propositions, syllogisms)
+                key = _any(block, start, propositions)
+                s = syllogisms.get(key) or syllogisms.setdefault(key, _syllogism(key))
+                parsed[block] = s
             if s is not None:
                 results.append((s, start, end))
         start = end

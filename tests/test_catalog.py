@@ -365,6 +365,6 @@ def test_matches_are_sound_on_longer_paths_with_repeated_terms(case):
 
 def test_unsupported_n():
     assert MAX_COUNT_TERMS == 6
-    for n in (1, 2, 0, -3, 7):
+    for n in (1, 2, 0, -3, 7, 3.0, True):
         with pytest.raises(UnsupportedN):
             count_valid_nterm(n)

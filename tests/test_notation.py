@@ -365,13 +365,13 @@ def test_parse_corpus_parses_each_distinct_block_once(monkeypatch):
     text = "AAA-1\n\nEAE-1\n\nAAA-1\n\nAAA-1\n\nEAE-1\n"
     calls = []
 
-    parse_block_or_compact = notation._parse_any
+    parse_block_or_compact = notation._any
 
-    def counting_parse_any(block, offset, propositions, syllogisms):
+    def counting_any(block, offset, propositions):
         calls.append(block)
-        return parse_block_or_compact(block, offset, propositions, syllogisms)
+        return parse_block_or_compact(block, offset, propositions)
 
-    monkeypatch.setattr(notation, "_parse_any", counting_parse_any)
+    monkeypatch.setattr(notation, "_any", counting_any)
     parsed = parse_corpus(text)
     assert calls == ["AAA-1\n", "EAE-1\n"]
     assert [(str(s), span.start, span.end) for s, span in parsed] == [
@@ -424,6 +424,39 @@ def test_parse_corpus_builds_each_distinct_syllogism_once(monkeypatch):
         calls.clear()
         parse_corpus(SHARED)
         assert len(set(calls)) == len(calls) == 3
+
+
+def test_a_compact_text_is_matched_once_and_fields_build_nothing(monkeypatch):
+    pattern = notation._COMPACT_RE
+    matches = []
+
+    class CountingPattern:
+        def match(self, text):
+            matches.append(text)
+            return pattern.match(text)
+
+    monkeypatch.setattr(notation, "_COMPACT_RE", CountingPattern())
+    parse_corpus("AAA-1\n\nEAE-1 # c\n\nAAA-1\n\nAll M is P; All S is M; All S is P\n")
+    assert len(matches) == 3
+    matches.clear()
+    parse_any("AAA-1")
+    assert len(matches) == 1
+    monkeypatch.undo()
+
+    everything = list(every_syllogism())
+    builds = []
+    build = Syllogism.__init__
+
+    def counting_init(self, *args):
+        builds.append(args)
+        build(self, *args)
+
+    monkeypatch.setattr(Syllogism, "__init__", counting_init)
+    for s in everything:
+        fields = (s.mood.first, s.mood.second, s.mood.conclusion, s.figure, s.assumption)
+        for text in (render_compact(s), render_block(s)):
+            assert notation._any(text, 0, {}) == fields
+    assert builds == []
 
 
 def test_parse_corpus_reports_a_bad_block_after_repeats_at_its_own_span():
