@@ -24,6 +24,13 @@ prints is the text of ``json.dumps(entries, indent=2)``.  Equal syllogisms
 in a corpus are one object, so the run's cache of reports is keyed by
 identity (``id``) and a repeated block costs one lookup in C.
 
+Deciding and rendering differ in what they depend on.  A reduction
+depends only on the premiss kinds, the figure and the assumed term, so
+``decide`` and an invalid input's ``trace`` or ``dot`` output share one
+table of at most 256 immutable traces (64 bare, 192 spliced) across all
+inputs.  A report also depends on the conclusion and the input's label,
+so it is built once per distinct syllogism.
+
 A process imports what its command runs: the parser (``notation``) only
 for ``check``, ``trace`` and ``parse``, the catalog and the oracle only
 for ``tables``, ``laws`` and ``count``, ``json`` only for ``--format
@@ -43,9 +50,8 @@ from .inference import (
     Syllogism,
     Trace,
     Validity,
+    _reduction,
     decide,
-    normalize,
-    premiss_chain,
 )
 
 
@@ -101,8 +107,7 @@ def _report(args, s: Syllogism) -> tuple[bool, str]:
 
     ``parse`` only renders the canonical forms and decides nothing.  An
     invalid verdict carries no trace: ``trace`` and ``--format dot`` show
-    its bare reduction instead, and ``check`` in text or json, which never
-    shows it, does not build it.
+    its bare reduction instead, read from the table ``decide`` just filled.
     """
     label = str(s) if args.corpus is not None else args.notation
     if args.command == "parse":
@@ -120,7 +125,7 @@ def _report(args, s: Syllogism) -> tuple[bool, str]:
     verdict = decide(s)
     trace = verdict.trace
     if trace is None and (args.command == "trace" or args.format == "dot"):
-        trace = normalize(premiss_chain(s))
+        trace = _reduction(s.mood.first, s.mood.second, s.figure, None)
     phrase = verdict.validity.value
     if verdict.validity is Validity.VALID_WITH_ASSUMPTION:
         phrase = f"valid under: {verdict.assumption.phrase}"
@@ -202,9 +207,12 @@ def _by_figure(rows, assumption: Assumption, validity: Validity) -> dict[Figure,
 
 
 def cmd_tables(args) -> int:
+    """Both verdicts of all 1024 syllogisms; exits 1 on any disagreement, in either format."""
     from .catalog import enumerate_all
 
     rows = enumerate_all()
+    agreements = sum(1 for r in rows if r.agree)
+    status = 0 if agreements == len(rows) else 1
     if args.format == "json":
         payload = [
             {
@@ -218,7 +226,7 @@ def cmd_tables(args) -> int:
             for r in rows
         ]
         print(_json(payload))
-        return 0
+        return status
 
     def columns(per_figure: dict[Figure, list[str]], extra: str = "") -> list[str]:
         # an empty table has height 0 and prints nothing
@@ -245,9 +253,8 @@ def cmd_tables(args) -> int:
         for line in columns(valid, assumption.phrase):
             print(line)
     print()
-    agreements = sum(1 for r in rows if r.agree)
     print(f"calculus/oracle agreement: {agreements}/{len(rows)} rows")
-    return 0 if agreements == len(rows) else 1
+    return status
 
 
 def cmd_laws(args) -> int:

@@ -8,7 +8,18 @@ import sys
 import pytest
 
 import syllogist
-from syllogist import catalog, cli, decide, normalize, parse_any, parse_corpus, premiss_chain, render_block
+from syllogist import (
+    catalog,
+    cli,
+    decide,
+    inference,
+    normalize,
+    parse_any,
+    parse_corpus,
+    premiss_chain,
+    render_block,
+    splice_existence,
+)
 from syllogist.cli import main, trace_dot
 
 from test_chains import count_calls, count_value_equality
@@ -215,6 +226,24 @@ def test_tables_json(capsys):
     assert len(valid) == 15
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_tables_exit_1_on_a_disagreement(capsys, monkeypatch, fmt):
+    oracle = catalog.semantic_verdict
+    barbara = parse_any("AAA-1")
+
+    def one_wrong(s):
+        return syllogist.Verdict(syllogist.Validity.INVALID) if s == barbara else oracle(s)
+
+    monkeypatch.setattr(catalog, "semantic_verdict", one_wrong)
+    code, out, _ = run(capsys, "tables", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        disagree = [(r["mood"], r["figure"], r["assumption"]) for r in json.loads(out) if not r["agree"]]
+        assert disagree == [("AAA", 1, None)]
+    else:
+        assert "calculus/oracle agreement: 1023/1024 rows" in out
+
+
 def test_laws(capsys):
     code, out, _ = run(capsys, "laws")
     assert code == 0
@@ -356,20 +385,21 @@ def test_corpus_decides_each_distinct_syllogism_once(tmp_path, capsys, monkeypat
     assert sorted(map(str, calls)) == ["AAA-1", "EAE-1", "EAO-3 +M", "OEI-4"]
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_check_builds_no_bare_reduction(tmp_path, capsys, monkeypatch, fmt):
-    # an invalid verdict's reduction is shown only by trace and dot output
+@COMMANDS
+@FORMATS
+def test_reports_reduce_each_table_key_at_most_once(tmp_path, capsys, monkeypatch, command, fmt):
+    # decide and an invalid input's trace or dot output read one table of
+    # reductions, keyed by premiss kinds, figure and assumed term
     corpus = tmp_path / "repeats.syl"
     corpus.write_text(REPEATS)
-    calls = []
-
-    def counting_normalize(chain):
-        calls.append(chain)
-        return normalize(chain)
-
-    monkeypatch.setattr(cli, "normalize", counting_normalize)
-    assert run(capsys, "check", "--format", fmt, "--corpus", str(corpus))[0] == 1
-    assert calls == []
+    inference._reduction.cache_clear()
+    calls = count_calls(monkeypatch, inference, "normalize")
+    assert run(capsys, command, "--format", fmt, "--corpus", str(corpus))[0] == 1
+    # AAA-1, EAE-1, OEI-4 and EAO-3 bare, and EAO-3 spliced at M: its bare chain fails
+    eao3 = parse_any("EAO-3 +M")
+    bare = [premiss_chain(parse_any(text)) for text in ("AAA-1", "EAE-1", "OEI-4", "EAO-3")]
+    expected = bare + [splice_existence(premiss_chain(eao3), "M")]
+    assert sorted(map(str, calls)) == sorted(map(str, expected))
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from syllogist import (
     all_syllogisms,
     conclusion_of,
     decide,
+    enumerate_all,
     match_conclusion,
     normalize,
     premiss_chain,
@@ -26,8 +27,9 @@ from syllogist import (
     reducible_positions,
     splice_existence,
 )
+from syllogist import inference
 
-from test_chains import chains, ch, prop
+from test_chains import chains, ch, count_calls, prop
 
 
 def syl(text):
@@ -288,6 +290,43 @@ def test_unconditional_validity_dominates():
     verdict = decide(syl("AAA-1 +S"))
     assert verdict.validity is Validity.VALID
     assert verdict.assumption is Assumption.NONE
+
+
+def fresh_verdict(s):
+    """The bare-first rule on reductions built afresh, with no table."""
+    chain = premiss_chain(s)
+    goal = conclusion_of(s)
+    bare = normalize(chain)
+    if match_conclusion(bare.normal_form, goal):
+        return Verdict(Validity.VALID, trace=bare)
+    term = s.assumption.term
+    if term is not None:
+        spliced = normalize(splice_existence(chain, term))
+        if match_conclusion(spliced.normal_form, goal):
+            return Verdict(Validity.VALID_WITH_ASSUMPTION, s.assumption, spliced)
+    return Verdict(Validity.INVALID)
+
+
+def test_decide_agrees_with_fresh_reductions():
+    inference._reduction.cache_clear()
+    for s in all_syllogisms():
+        assert decide(s) == fresh_verdict(s), s
+
+
+def test_all_syllogisms_reduce_each_premiss_chain_once(monkeypatch):
+    # a reduction depends on the premiss kinds, the figure and the assumed
+    # term only: 64 bare and 192 spliced chains, where one reduction per
+    # decide and another per failed bare match would make 1747
+    inference._reduction.cache_clear()
+    calls = count_calls(monkeypatch, inference, "normalize")
+    enumerate_all()
+    assert len(calls) == 256
+    # a spliced chain holds its assumed term twice, a bare one each term once
+    spliced = [c for c in calls if any(len(c.occurrences(t)) == 2 for t in "SMP")]
+    assert len(spliced) == 192
+    calls.clear()
+    enumerate_all()
+    assert calls == []
 
 
 def test_verdict_names_an_assumption_exactly_when_conditional():
