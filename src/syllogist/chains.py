@@ -329,6 +329,7 @@ def splice_existence(chain: Chain, term: TermId, occurrence: int = 0) -> Chain:
     The arrows formerly incident to that node reattach to the outer copies;
     the bullet count grows by exactly one.
     """
+    _check_term(term)
     spots = chain.occurrences(term)
     if occurrence < 0 or occurrence >= len(spots):
         raise NoSuchOccurrence(

@@ -5,7 +5,8 @@ Subcommands: ``check``, ``trace``, ``tables``, ``laws``, ``count`` and
 machine-readable objects with stable keys, and ``--format dot`` renders a
 reduction as a two-row directed graph.  Exit codes: 0 when everything
 checked out valid, 1 when some syllogism is invalid or a count misses
-3n^2-n, 2 on parse or usage errors.
+3n^2-n, 2 on parse or usage errors, and 141, with nothing on stderr, when
+the output pipe closes early (as for a writer ended by SIGPIPE).
 
 ``check``, ``trace`` and ``parse`` share one report path.  ``check``
 prints a verdict line, ``trace`` the reduction and ``parse`` the canonical
@@ -41,6 +42,7 @@ a ``NotationError`` is caught where the report path parses.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .chains import ChainError, is_bullet
@@ -196,25 +198,17 @@ def cmd_report(args) -> int:
     return status
 
 
-def _by_figure(rows, assumption: Assumption, validity: Validity) -> dict[Figure, list[str]]:
-    """Moods of the rows with this assumption and calculus verdict, per figure."""
-    per_figure: dict[Figure, list[str]] = {f: [] for f in Figure}
-    for row in rows:
-        s = row.syllogism
-        if s.assumption is assumption and row.calculus.validity is validity:
-            per_figure[s.figure].append(str(s.mood))
-    return per_figure
-
-
 def cmd_tables(args) -> int:
     """Both verdicts of all 1024 syllogisms; exits 1 on any disagreement, in either format."""
+    from itertools import zip_longest
+
     from .catalog import enumerate_all
 
     rows = enumerate_all()
     agreements = sum(1 for r in rows if r.agree)
     status = 0 if agreements == len(rows) else 1
     if args.format == "json":
-        payload = [
+        print(_json([
             {
                 "mood": str(r.syllogism.mood),
                 "figure": r.syllogism.figure.value,
@@ -224,36 +218,27 @@ def cmd_tables(args) -> int:
                 "agree": r.agree,
             }
             for r in rows
-        ]
-        print(_json(payload))
+        ]))
         return status
-
-    def columns(per_figure: dict[Figure, list[str]], extra: str = "") -> list[str]:
-        # an empty table has height 0 and prints nothing
-        height = max(len(v) for v in per_figure.values())
-        out = []
-        for i in range(height):
-            cells = [
-                (per_figure[f][i] if i < len(per_figure[f]) else "").ljust(8)
-                for f in Figure
-            ]
-            out.append(("".join(cells) + (extra if i == 0 else "")).rstrip())
-        return out
-
+    # per (assumption, figure), the moods whose calculus verdict is valid under
+    # exactly the row's assumption: VALID when bare, else VALID_WITH_ASSUMPTION
+    moods: dict[tuple[Assumption, Figure], list[str]] = {}
+    for r in rows:
+        s = r.syllogism
+        if r.calculus.is_valid and r.calculus.assumption is s.assumption:
+            moods.setdefault((s.assumption, s.figure), []).append(str(s.mood))
     header = "".join(f"fig. {f.value}".ljust(8) for f in Figure)
-    print("valid syllogisms")
-    print(header.rstrip())
-    for line in columns(_by_figure(rows, Assumption.NONE, Validity.VALID)):
-        print(line)
-    print()
-    print("valid under an assumption of existence")
-    print(header + "assumption")
-    for assumption in (Assumption.SOME_S, Assumption.SOME_M, Assumption.SOME_P):
-        valid = _by_figure(rows, assumption, Validity.VALID_WITH_ASSUMPTION)
-        for line in columns(valid, assumption.phrase):
-            print(line)
-    print()
-    print(f"calculus/oracle agreement: {agreements}/{len(rows)} rows")
+    lines = ["valid syllogisms", header.rstrip()]
+    for assumption in Assumption:
+        if assumption is Assumption.SOME_S:
+            lines += ["", "valid under an assumption of existence", header + "assumption"]
+        # a line per row of moods, the first ending in the phrase; an empty table has none
+        table = zip_longest(*(moods.get((assumption, f), []) for f in Figure), fillvalue="")
+        for i, cells in enumerate(table):
+            end = assumption.phrase if i == 0 and assumption.phrase else ""
+            lines.append(("".join(c.ljust(8) for c in cells) + end).rstrip())
+    lines += ["", f"calculus/oracle agreement: {agreements}/{len(rows)} rows"]
+    print("\n".join(lines))
     return status
 
 
@@ -264,7 +249,7 @@ def cmd_laws(args) -> int:
     derivations = [r for r in results if r.expected is not None]
     stuck = [r for r in results if r.expected is None]
     if args.format == "json":
-        payload = [
+        print(_json([
             {
                 "name": r.name,
                 "chain": str(r.chain),
@@ -273,8 +258,7 @@ def cmd_laws(args) -> int:
                 "ok": r.ok,
             }
             for r in results
-        ]
-        print(_json(payload))
+        ]))
     else:
         for r in results:
             mark = "ok  " if r.ok else "FAIL"
@@ -316,9 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, func, help_text: str, notation: bool, formats: tuple[str, ...]):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument(
-            "--format", choices=formats, default="text", help="output format"
-        )
+        p.add_argument("--format", choices=formats, default="text", help="output format")
         if notation:
             inputs = p.add_mutually_exclusive_group()
             inputs.add_argument(
@@ -348,7 +330,14 @@ def _fail(err: Exception, where: str = "") -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at shutdown
+        return status
+    except BrokenPipeError:
+        # the reader is gone: as the SIGPIPE note in Python's signal docs does,
+        # send what is still buffered to devnull; exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ChainError, OSError, UnicodeDecodeError) as err:
         return _fail(err)
 

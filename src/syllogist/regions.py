@@ -6,12 +6,12 @@ inhabited.  The empty universe is one of the models, so no existential
 import is built in.  This module never looks at chains or reductions.
 
 Two oracles answer one query, ``.entails(premisses, conclusion,
-assumptions)``.  ``space_for(terms)`` evaluates all 2^(2^k) models at
-once, a truth vector being an ``int`` whose bit m is the truth in model m
-(Knuth, TAOCP 4A 7.1).  It stays, up to ``MAX_TERMS``, as the simple
-oracle for the tables and the check on ``VennSpace(terms)``, which
-decides the same query in closed form, so the n-term counts go further.
-Both read a proposition as ``region_mask``, built from two term masks.
+assumptions)``, over one term space: ``VennSpace(terms)``, the checked term
+tuple and its cached ``region_mask``s.  ``VennSpace`` decides in closed form,
+so the n-term counts go further.  ``space_for(terms)``, a ``ModelSpace`` of
+``MAX_TERMS`` at most, keeps its own procedure for the tables and the check
+on ``VennSpace``: all 2^(2^k) models at once, a truth vector being an ``int``
+whose bit m is the truth in model m (Knuth, TAOCP 4A 7.1).
 """
 
 from __future__ import annotations
@@ -99,61 +99,6 @@ def eval_proposition(p: Proposition, model: RegionModel) -> bool:
     return hit if p.kind.particular else not hit
 
 
-class ModelSpace:
-    """Every inhabitation pattern over the atoms of a fixed term list.
-
-    Model m is the pattern whose inhabitation mask is m.  Proposition truth
-    is evaluated across the whole space at once, as a bit vector, and
-    cached, so repeated entailment queries over the same terms are cheap.
-    The cache is keyed by ``(kind, subject, predicate)``, a tuple that
-    hashes in C, not by the ``Proposition``.
-    """
-
-    def __init__(self, terms: Sequence[TermId]):
-        self.terms = tuple(terms)
-        if len(self.terms) > MAX_TERMS:
-            raise TooManyTerms(f"at most {MAX_TERMS} terms, got {len(self.terms)}")
-        _check_terms(self.terms)
-        n_atoms = 1 << len(self.terms)
-        self._size = 1 << n_atoms
-        self._all = (1 << self._size) - 1
-        self._atoms = [_atom_vector(a, self._size) for a in range(n_atoms)]
-        self._truth: dict[tuple[PropKind, TermId, TermId], int] = {}
-
-    def __len__(self) -> int:
-        return self._size
-
-    def truth(self, p: Proposition) -> int:
-        """Truth vector of ``p``: bit m is its truth in model m."""
-        key = p.kind, p.subject, p.predicate
-        cached = self._truth.get(key)
-        if cached is not None:
-            return cached
-        mask = region_mask(p, self.terms)
-        hits = 0
-        for atom, vector in enumerate(self._atoms):
-            if mask >> atom & 1:
-                hits |= vector
-        result = hits if p.kind.particular else self._all ^ hits
-        self._truth[key] = result
-        return result
-
-    def entails(
-        self,
-        premisses: Iterable[Proposition],
-        conclusion: Proposition,
-        assumptions: Iterable[Proposition] = (),
-    ) -> bool:
-        """True when every model of the premisses and assumptions is a
-        model of the conclusion."""
-        antecedent = self._all
-        for q in premisses:
-            antecedent &= self.truth(q)
-        for q in assumptions:
-            antecedent &= self.truth(q)
-        return not antecedent & ~self.truth(conclusion)
-
-
 def _atom_vector(bit: int, size: int) -> int:
     """The ``size``-bit vector whose bit m is bit ``bit`` of m.
 
@@ -172,29 +117,33 @@ def _atom_vector(bit: int, size: int) -> int:
 
 
 class VennSpace:
-    """Closed-form entailment over the 2^k atoms of a term list: the Venn method.
+    """A term space, and closed-form entailment over its 2^k atoms: the Venn method.
+
+    The space holds the term tuple, free of duplicates and within the
+    class's cap, and each proposition's ``(particular?, region mask)``,
+    cached under ``(kind, subject, predicate)``, a tuple that hashes in C.
+    A region mask has 2^k bits, so k is capped at ``MAX_VENN_TERMS``.
 
     Premisses, assumptions and the negated conclusion hold together exactly
     when each particular one's region keeps an atom that no universal one
     empties (the model inhabiting every such atom shows it), so the query is
     entailed exactly when some particular region lies inside that union.
-    A region mask has 2^k bits, so k is capped at ``MAX_VENN_TERMS``.
     """
+
+    _cap = MAX_VENN_TERMS
 
     def __init__(self, terms: Sequence[TermId]):
         self.terms = tuple(terms)
-        if len(self.terms) > MAX_VENN_TERMS:
-            raise TooManyTerms(f"at most {MAX_VENN_TERMS} terms, got {len(self.terms)}")
+        if len(self.terms) > self._cap:
+            raise TooManyTerms(f"at most {self._cap} terms, got {len(self.terms)}")
         _check_terms(self.terms)
-        # (kind, subject, predicate) -> (particular?, region mask), keyed as in ModelSpace
         self._regions: dict[tuple[PropKind, TermId, TermId], tuple[bool, int]] = {}
 
     def _region(self, p: Proposition) -> tuple[bool, int]:
         key = p.kind, p.subject, p.predicate
         known = self._regions.get(key)
         if known is None:
-            mask = region_mask(p, self.terms)
-            known = self._regions[key] = (p.kind.particular, mask)
+            known = self._regions[key] = (p.kind.particular, region_mask(p, self.terms))
         return known
 
     def entails(
@@ -215,6 +164,50 @@ class VennSpace:
         else:
             inhabited.append(mask)
         return any(not r & ~emptied for r in inhabited)
+
+
+class ModelSpace(VennSpace):
+    """Every inhabitation pattern over the atoms of a term space (``MAX_TERMS`` at most).
+
+    It shares the term space with ``VennSpace`` but decides by its own
+    ``truth`` and ``entails``.  Model m is the pattern whose inhabitation
+    mask is m; a truth vector, built from the cached region, is cached too.
+    """
+
+    _cap = MAX_TERMS
+
+    def __init__(self, terms: Sequence[TermId]):
+        super().__init__(terms)
+        n_atoms = 1 << len(self.terms)
+        self._size = 1 << n_atoms
+        self._all = (1 << self._size) - 1
+        self._atoms = [_atom_vector(a, self._size) for a in range(n_atoms)]
+        self._truth: dict[tuple[PropKind, TermId, TermId], int] = {}
+
+    def __len__(self) -> int:
+        return self._size
+
+    def truth(self, p: Proposition) -> int:
+        """Truth vector of ``p``: bit m is its truth in model m."""
+        key = p.kind, p.subject, p.predicate
+        truth = self._truth.get(key)
+        if truth is None:
+            particular, mask = self._region(p)
+            hits = 0
+            for atom, vector in enumerate(self._atoms):
+                if mask >> atom & 1:
+                    hits |= vector
+            truth = self._truth[key] = hits if particular else self._all ^ hits
+        return truth
+
+    def entails(
+        self, premisses: Iterable[Proposition], conclusion: Proposition, assumptions=()
+    ) -> bool:
+        """True when every model of the premisses and assumptions models the conclusion."""
+        antecedent = self._all
+        for q in chain(premisses, assumptions):
+            antecedent &= self.truth(q)
+        return not antecedent & ~self.truth(conclusion)
 
 
 @lru_cache(maxsize=None)

@@ -235,6 +235,16 @@ def test_splice_missing_occurrence():
         splice_existence(ch("S -> M -> P"), "M", occurrence=1)
 
 
+@pytest.mark.parametrize("term", [BULLET, "", "->", "two words", 5])
+def test_splice_checks_its_term(term):
+    # a bullet is no term: splicing at one would read "there is some *"
+    some_ab = diagram(prop("I", "A", "B"))
+    assert BULLET in some_ab.nodes
+    with pytest.raises(ChainError, match="term identifier") as caught:
+        splice_existence(some_ab, term)
+    assert not isinstance(caught.value, NoSuchOccurrence)
+
+
 def test_splice_second_occurrence():
     spliced = splice_existence(ch("A -> A -> B"), "A", occurrence=1)
     assert str(spliced) == "A -> A <- * -> A -> B"

@@ -226,6 +226,49 @@ def test_tables_json(capsys):
     assert len(valid) == 15
 
 
+TABLES_TEXT = [
+    "valid syllogisms",
+    "fig. 1  fig. 2  fig. 3  fig. 4",
+    "AAA     AEE     AII     AEE",
+    "AII     AOO     EIO     EIO",
+    "EAE     EAE     IAI     IAI",
+    "EIO     EIO     OAO",
+    "",
+    "valid under an assumption of existence",
+    "fig. 1  fig. 2  fig. 3  fig. 4  assumption",
+    "AAI     AEO             AEO     there is some S",
+    "EAO     EAO",
+    "                AAI     EAO     there is some M",
+    "                EAO",
+    "                        AAI     there is some P",
+    "",
+    "calculus/oracle agreement: 1024/1024 rows",
+]
+
+
+def test_tables_text_layout(capsys):
+    # byte for byte: column widths, headers and blank lines split the output into sections
+    code, out, _ = run(capsys, "tables")
+    assert code == 0
+    assert out == "\n".join(TABLES_TEXT) + "\n"
+
+
+def test_a_closed_output_pipe_ends_the_run_quietly():
+    # the json table is about 141 KB, more than a 64 KiB pipe buffer holds, so
+    # the writer is still writing when the reader closes its end
+    package_root = os.path.dirname(os.path.dirname(syllogist.__file__))
+    with subprocess.Popen(
+        [sys.executable, "-m", "syllogist.cli", "tables", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": package_root},
+    ) as proc:
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_tables_exit_1_on_a_disagreement(capsys, monkeypatch, fmt):
     oracle = catalog.semantic_verdict

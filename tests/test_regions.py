@@ -10,6 +10,7 @@ from syllogist import (
     Figure,
     Mood,
     MAX_COUNT_TERMS,
+    MAX_TERMS,
     MAX_VENN_TERMS,
     ModelSpace,
     PropKind,
@@ -78,8 +79,15 @@ def test_model_space_sizes():
 
 
 def test_model_space_caps_terms():
-    with pytest.raises(TooManyTerms):
+    with pytest.raises(TooManyTerms, match=f"at most {MAX_TERMS} terms, got 5"):
         ModelSpace(("A", "B", "C", "D", "E"))
+
+
+def test_the_oracles_share_one_term_space_and_decide_apart():
+    # ModelSpace checks its terms through VennSpace's constructor but answers
+    # by its own procedure, so the agreement tests compare two procedures
+    assert issubclass(ModelSpace, VennSpace)
+    assert "entails" in vars(ModelSpace) and "truth" in vars(ModelSpace)
 
 
 def test_venn_space_caps_terms():
