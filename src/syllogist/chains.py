@@ -22,9 +22,9 @@ one small base, ``_Value``, rather than ``dataclasses``, so importing the
 package stays cheap.
 
 Values are checked where they enter: the public ``Chain`` constructor,
-``chain_from_text`` and ``Proposition`` validate every term name and the
-arrow count, and ``chain_along`` its start term.  Derived chains
-(diagrams, duals, concatenations, splices and reduction steps) are
+``chain_from_text`` and ``Proposition`` validate every term name, the
+arrow count and the kind, and ``chain_along`` its start term.  Derived
+chains (diagrams, duals, concatenations, splices and reduction steps) are
 assembled from parts of values that were already checked, so they skip
 that validation.
 """
@@ -181,6 +181,8 @@ class Proposition(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, PropKind):
+            raise ChainError(f"a proposition's kind is a PropKind, got {self.kind!r}")
         _check_term(self.subject)
         _check_term(self.predicate)
 

@@ -27,10 +27,10 @@ identity (``id``) and a repeated block costs one lookup in C.
 
 Deciding and rendering differ in what they depend on.  A reduction
 depends only on the premiss kinds, the figure and the assumed term, so
-``decide`` and an invalid input's ``trace`` or ``dot`` output share one
-table of at most 256 immutable traces (64 bare, 192 spliced) across all
-inputs.  A report also depends on the conclusion and the input's label,
-so it is built once per distinct syllogism.
+``decide`` and an invalid input's ``trace`` or ``dot`` output read one
+table of at most 256 immutable traces (64 bare, 192 spliced) through
+``inference._reduction(s, term)``.  A report also depends on the
+conclusion and the input's label, so it is built once per distinct syllogism.
 
 A process imports what its command runs: the parser (``notation``) only
 for ``check``, ``trace`` and ``parse``, the catalog and the oracle only
@@ -127,7 +127,7 @@ def _report(args, s: Syllogism) -> tuple[bool, str]:
     verdict = decide(s)
     trace = verdict.trace
     if trace is None and (args.command == "trace" or args.format == "dot"):
-        trace = _reduction(s.mood.first, s.mood.second, s.figure, None)
+        trace = _reduction(s, None)
     phrase = verdict.validity.value
     if verdict.validity is Validity.VALID_WITH_ASSUMPTION:
         phrase = f"valid under: {verdict.assumption.phrase}"

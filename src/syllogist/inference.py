@@ -20,15 +20,14 @@ always wins over a conditional one.
 A reduction never depends on the conclusion: the premiss chain is fixed
 by the two premiss kinds and the figure, and the spliced chain also by
 the assumed term.  So the 1024 syllogisms need only 64 bare reductions
-and 192 spliced ones.  ``decide`` reads each from one table keyed by
-those fields, built on first use and holding at most 256 entries; a
-``Trace`` is immutable, so every verdict that names one may share it.
+and 192 spliced ones, read through ``_reduction(s, term)``: the one
+accessor of a dict keyed by those fields, filled from ``premiss_chain(s)``
+on a miss.  A ``Trace`` is immutable, so every verdict may share one.
 """
 
 from __future__ import annotations
 
 from enum import Enum, IntEnum
-from functools import lru_cache
 
 from .chains import (
     Chain,
@@ -281,16 +280,10 @@ def figure_of(first: tuple[TermId, TermId], second: tuple[TermId, TermId]) -> Fi
     return _FIGURE_OF_LAYOUT[first, second]
 
 
-def _premisses(
-    first: PropKind, second: PropKind, figure: Figure
-) -> tuple[Proposition, Proposition]:
-    (s1, p1), (s2, p2) = _FIGURE_LAYOUT[figure]
-    return _ROLE_PROPOSITIONS[first, s1, p1], _ROLE_PROPOSITIONS[second, s2, p2]
-
-
 def premisses_of(s: Syllogism) -> tuple[Proposition, Proposition]:
     """The two premiss propositions determined by mood and figure."""
-    return _premisses(s.mood.first, s.mood.second, s.figure)
+    (s1, p1), (s2, p2) = _FIGURE_LAYOUT[s.figure]
+    return _ROLE_PROPOSITIONS[s.mood.first, s1, p1], _ROLE_PROPOSITIONS[s.mood.second, s2, p2]
 
 
 def conclusion_of(s: Syllogism) -> Proposition:
@@ -305,26 +298,24 @@ def assumption_proposition(s: Syllogism) -> Proposition | None:
     return _ROLE_PROPOSITIONS[PropKind.I, term, term]
 
 
-def _premiss_chain(first: PropKind, second: PropKind, figure: Figure) -> Chain:
-    major_premiss, minor_premiss = _premisses(first, second, figure)
+def premiss_chain(s: Syllogism) -> Chain:
+    """The premiss diagrams joined along S, M, P: the second premiss, then the first."""
+    major_premiss, minor_premiss = premisses_of(s)
     return chain_along(MINOR, (minor_premiss, major_premiss))
 
 
-def premiss_chain(s: Syllogism) -> Chain:
-    """The premiss diagrams joined along S, M, P: the second premiss, then the first."""
-    return _premiss_chain(s.mood.first, s.mood.second, s.figure)
+# (first, second, figure, assumed term or None) -> trace: 4 * 4 * 4 * (1 + 3) = 256 keys at most
+_reductions: dict[tuple[PropKind, PropKind, Figure, TermId | None], Trace] = {}
 
 
-@lru_cache(maxsize=None)
-def _reduction(
-    first: PropKind, second: PropKind, figure: Figure, term: TermId | None
-) -> Trace:
-    """The premiss chain, spliced at ``term`` unless it is None, run to normal form.
-
-    At most 4 * 4 * 4 * (1 + 3) = 256 keys, each reduced once per process.
-    """
-    chain = _premiss_chain(first, second, figure)
-    return normalize(chain if term is None else splice_existence(chain, term))
+def _reduction(s: Syllogism, term: TermId | None) -> Trace:
+    """``s``'s premiss chain, spliced at ``term`` unless it is None, run to normal form once."""
+    key = s.mood.first, s.mood.second, s.figure, term
+    trace = _reductions.get(key)
+    if trace is None:
+        chain = premiss_chain(s) if term is None else splice_existence(premiss_chain(s), term)
+        trace = _reductions[key] = normalize(chain)
+    return trace
 
 
 def decide(s: Syllogism) -> Verdict:
@@ -336,19 +327,18 @@ def decide(s: Syllogism) -> Verdict:
     an assumption, the existence diagram is spliced at the assumed term,
     which occurs once in the premiss chain, and the result is reduced.
 
-    Neither reduction depends on the conclusion, so both come from the
-    process-wide table ``_reduction``, keyed by the premiss kinds, the
-    figure and the assumed term.  A verdict's trace is that table's
-    immutable entry, shared by every syllogism with the same key.
+    Neither reduction depends on the conclusion, so both come from
+    ``_reduction(s, term)``, the process-wide table keyed by the premiss
+    kinds, the figure and the assumed term.  A verdict's trace is that
+    table's immutable entry, shared by every syllogism with the same key.
     """
-    first, second, figure = s.mood.first, s.mood.second, s.figure
     goal = conclusion_of(s)
-    trace = _reduction(first, second, figure, None)
+    trace = _reduction(s, None)
     if match_conclusion(trace.normal_form, goal):
         return Verdict(Validity.VALID, trace=trace)
     term = s.assumption.term
     if term is not None:
-        candidate = _reduction(first, second, figure, term)
+        candidate = _reduction(s, term)
         if match_conclusion(candidate.normal_form, goal):
             return Verdict(Validity.VALID_WITH_ASSUMPTION, s.assumption, candidate)
     return Verdict(Validity.INVALID)

@@ -47,7 +47,9 @@ class TooManyTerms(ValueError):
     """More terms than an oracle's cap allows."""
 
 
-def _check_terms(terms: tuple[TermId, ...]) -> None:
+def _check_terms(terms: tuple[TermId, ...], cap: int) -> None:
+    if len(terms) > cap:
+        raise TooManyTerms(f"at most {cap} terms, got {len(terms)}")
     if len(set(terms)) != len(terms):
         raise ValueError(f"duplicate terms in {terms!r}")
 
@@ -84,7 +86,9 @@ class RegionModel(_Value):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
-        _check_terms(self.terms)
+        _check_terms(self.terms, MAX_VENN_TERMS)  # before the range check builds a 2^k-bit bound
+        if not isinstance(self.inhabited, int):
+            raise ValueError(f"an inhabitation mask is an int, got {self.inhabited!r}")
         n_atoms = 1 << len(self.terms)
         if not 0 <= self.inhabited < (1 << n_atoms):
             raise ValueError(f"inhabitation mask out of range for {n_atoms} atoms")
@@ -134,9 +138,7 @@ class VennSpace:
 
     def __init__(self, terms: Sequence[TermId]):
         self.terms = tuple(terms)
-        if len(self.terms) > self._cap:
-            raise TooManyTerms(f"at most {self._cap} terms, got {len(self.terms)}")
-        _check_terms(self.terms)
+        _check_terms(self.terms, self._cap)
         self._regions: dict[tuple[PropKind, TermId, TermId], tuple[bool, int]] = {}
 
     def _region(self, p: Proposition) -> tuple[bool, int]:

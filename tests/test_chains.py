@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from syllogist import (
     BULLET,
     Arrow,
+    Assumption,
     Chain,
     ChainError,
     JunctionMismatch,
@@ -288,6 +289,13 @@ def test_bullet_is_never_a_term():
 def test_proposition_rejects_bad_terms():
     with pytest.raises(ChainError):
         Proposition(PropKind.A, "", "B")
+
+
+def test_proposition_rejects_a_kind_that_is_not_a_prop_kind():
+    # unchecked, "E" would draw O's diagram and str() would raise AttributeError
+    for kind in ("E", None, Assumption.SOME_S):
+        with pytest.raises(ChainError, match="kind is a PropKind"):
+            Proposition(kind, "S", "P")
 
 
 def test_whitespace_anywhere_in_a_term_is_rejected():

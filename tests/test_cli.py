@@ -320,8 +320,10 @@ def test_count_unsupported(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: n-term counting supports n from 3 to 6, got 7\n"
+    code, out, err = run(capsys, "count", "2")
+    assert code == 2
     assert out == ""
-    assert err == "error: n-term counting supports n from 3 to 6, got 7\n"
+    assert err == "error: n-term counting supports n from 3 to 6, got 2\n"
 
 
 # --- corpus batches ---------------------------------------------------------
@@ -435,7 +437,7 @@ def test_reports_reduce_each_table_key_at_most_once(tmp_path, capsys, monkeypatc
     # reductions, keyed by premiss kinds, figure and assumed term
     corpus = tmp_path / "repeats.syl"
     corpus.write_text(REPEATS)
-    inference._reduction.cache_clear()
+    inference._reductions.clear()
     calls = count_calls(monkeypatch, inference, "normalize")
     assert run(capsys, command, "--format", fmt, "--corpus", str(corpus))[0] == 1
     # AAA-1, EAE-1, OEI-4 and EAO-3 bare, and EAO-3 spliced at M: its bare chain fails

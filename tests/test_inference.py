@@ -308,7 +308,7 @@ def fresh_verdict(s):
 
 
 def test_decide_agrees_with_fresh_reductions():
-    inference._reduction.cache_clear()
+    inference._reductions.clear()
     for s in all_syllogisms():
         assert decide(s) == fresh_verdict(s), s
 
@@ -316,17 +316,20 @@ def test_decide_agrees_with_fresh_reductions():
 def test_all_syllogisms_reduce_each_premiss_chain_once(monkeypatch):
     # a reduction depends on the premiss kinds, the figure and the assumed
     # term only: 64 bare and 192 spliced chains, where one reduction per
-    # decide and another per failed bare match would make 1747
-    inference._reduction.cache_clear()
+    # decide and another per failed bare match would make 1747; each is
+    # built by the public premiss_chain, once per table key
+    inference._reductions.clear()
     calls = count_calls(monkeypatch, inference, "normalize")
+    built = count_calls(monkeypatch, inference, "premiss_chain")
     enumerate_all()
-    assert len(calls) == 256
+    assert len(calls) == len(built) == 256
     # a spliced chain holds its assumed term twice, a bare one each term once
     spliced = [c for c in calls if any(len(c.occurrences(t)) == 2 for t in "SMP")]
     assert len(spliced) == 192
     calls.clear()
+    built.clear()
     enumerate_all()
-    assert calls == []
+    assert calls == built == []
 
 
 def test_verdict_names_an_assumption_exactly_when_conditional():

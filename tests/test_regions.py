@@ -128,6 +128,21 @@ def test_duplicate_terms_rejected():
         ModelSpace(("A", "A"))
 
 
+def test_region_model_checks_its_terms_and_mask():
+    # the cap comes first: the range check builds a 2^k-bit bound
+    terms = tuple(f"T{i}" for i in range(MAX_VENN_TERMS + 1))
+    assert RegionModel(terms[:-1], 0).terms == terms[:-1]
+    with pytest.raises(TooManyTerms, match=f"at most {MAX_VENN_TERMS} terms, got {len(terms)}"):
+        RegionModel(terms, 0)
+    with pytest.raises(ValueError, match="duplicate"):
+        RegionModel(("A", "B", "A"), 0)
+    for mask in (1.5, "1", None):
+        with pytest.raises(ValueError, match="an inhabitation mask is an int"):
+            RegionModel(AB, mask)
+    with pytest.raises(ValueError, match="out of range"):
+        RegionModel(AB, 16)
+
+
 # --- entailment -------------------------------------------------------------
 
 def test_first_figure_entailment():
