@@ -55,69 +55,39 @@ from .inference import (
 )
 __version__ = "0.1.0"
 
-# the names that load on first use, by module
-_NOTATION = frozenset({
-    "AmbiguousTerms",
-    "BadFigure",
-    "BadMoodLetter",
-    "NotASyllogism",
-    "NotationError",
-    "SourceSpan",
-    "parse_any",
-    "parse_compact",
-    "parse_corpus",
-    "parse_proposition",
-    "parse_syllogism_block",
-    "render_block",
-    "render_compact",
-    "render_proposition",
-})
-_REGIONS = frozenset({
-    "MAX_TERMS",
-    "MAX_VENN_TERMS",
-    "ModelSpace",
-    "RegionModel",
-    "TooManyTerms",
-    "UnknownTerm",
-    "VennSpace",
-    "eval_proposition",
-    "semantic_verdict",
-    "space_for",
-})
-_CATALOG = frozenset({
-    "MAX_COUNT_TERMS",
-    "LawResult",
-    "TableRow",
-    "TermNotInChain",
-    "UnsupportedN",
-    "all_moods",
-    "all_syllogisms",
-    "check_rules",
-    "count_valid_nterm",
-    "enumerate_all",
-    "mutually_excluded",
-    "opposition_laws",
-})
-_LAZY = _NOTATION | _REGIONS | _CATALOG
+# each name that loads on first use, and the module it loads
+_LAZY = {
+    **dict.fromkeys((
+        "AmbiguousTerms", "BadFigure", "BadMoodLetter", "NotASyllogism", "NotationError",
+        "SourceSpan", "parse_any", "parse_compact", "parse_corpus", "parse_proposition",
+        "parse_syllogism_block", "render_block", "render_compact", "render_proposition",
+    ), "notation"),
+    **dict.fromkeys((
+        "MAX_TERMS", "MAX_VENN_TERMS", "ModelSpace", "RegionModel", "TooManyTerms",
+        "UnknownTerm", "VennSpace", "eval_proposition", "semantic_verdict", "space_for",
+    ), "regions"),
+    **dict.fromkeys((
+        "MAX_COUNT_TERMS", "LawResult", "TableRow", "TermNotInChain", "UnsupportedN",
+        "all_moods", "all_syllogisms", "check_rules", "count_valid_nterm", "enumerate_all",
+        "mutually_excluded", "opposition_laws",
+    ), "catalog"),
+}
 
 # every public name, the submodules aside: a star-import resolves the
 # lazy ones through __getattr__, loading their modules
 __all__ = sorted(
-    {name for name in globals() if not name.startswith("_")} - {"chains", "inference"} | _LAZY
+    {name for name in globals() if not name.startswith("_")} - {"chains", "inference"}
+    | _LAZY.keys()
 )
 
 
 def __getattr__(name: str):
-    if name in _NOTATION:
-        from . import notation as module
-    elif name in _REGIONS:
-        from . import regions as module
-    elif name in _CATALOG:
-        from . import catalog as module
-    else:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(module, name)
+    from importlib import import_module
+
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | _LAZY)
+    return sorted(globals().keys() | _LAZY.keys())

@@ -54,13 +54,13 @@ class TableRow(_Value):
     __slots__ = ("syllogism", "calculus", "oracle")
 
     def __init__(self, syllogism: Syllogism, calculus: Verdict, oracle: Verdict) -> None:
-        object.__setattr__(self, "syllogism", syllogism)
-        object.__setattr__(self, "calculus", calculus)
-        object.__setattr__(self, "oracle", oracle)
+        self._set(syllogism, calculus, oracle)
 
     @property
     def agree(self) -> bool:
-        return self.calculus.summary() == self.oracle.summary()
+        # the summaries' equality: a verdict names an assumption exactly when conditional
+        calculus, oracle = self.calculus, self.oracle
+        return calculus.validity is oracle.validity and calculus.assumption is oracle.assumption
 
 
 def all_moods() -> list[Mood]:
@@ -68,11 +68,12 @@ def all_moods() -> list[Mood]:
 
 
 def all_syllogisms(assumptions: tuple[Assumption, ...] = tuple(Assumption)) -> list[Syllogism]:
+    moods = all_moods()
     return [
         Syllogism(mood, figure, assumption)
         for assumption in assumptions
         for figure in Figure
-        for mood in all_moods()
+        for mood in moods
     ]
 
 
@@ -130,11 +131,7 @@ class LawResult(_Value):
     def __init__(
         self, name: str, chain: Chain, expected: Proposition | None, trace: Trace, ok: bool
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "ok", ok)
+        self._set(name, chain, expected, trace, ok)
 
 
 def _law(

@@ -52,8 +52,10 @@ class NoSuchOccurrence(ChainError):
 class _Value:
     """Base of the package's immutable value classes.
 
-    A subclass lists its fields in ``__slots__``, in order, and sets them
-    in its ``__init__`` through ``object.__setattr__``.  Equality and
+    A subclass lists its fields in ``__slots__``, in order, and its
+    ``__init__``, whose parameters are those fields in that order, is one
+    ``_set`` call: the one place that stores fields, which then runs
+    ``__post_init__``, the one check hook.  Equality and
     hashing go by class and field values, ``repr`` reads
     ``Name(field=value, ...)``, and copying and pickling rebuild the value
     through its constructor, so its checks run again.  No subclass
@@ -63,6 +65,15 @@ class _Value:
     """
 
     __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        store = object.__setattr__  # found once: finding it costs more than a call
+        for name, value in zip(self.__slots__, values):
+            store(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the stored fields; a subclass with rules overrides this."""
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -175,10 +186,7 @@ class Proposition(_Value):
     __slots__ = ("kind", "subject", "predicate")
 
     def __init__(self, kind: PropKind, subject: TermId, predicate: TermId) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "predicate", predicate)
-        self.__post_init__()
+        self._set(kind, subject, predicate)
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, PropKind):
@@ -200,13 +208,9 @@ class Chain(_Value):
     __slots__ = ("nodes", "arrows")
 
     def __init__(self, nodes: tuple[Node, ...], arrows: tuple[Arrow, ...]) -> None:
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "arrows", arrows)
-        self.__post_init__()
+        self._set(tuple(nodes), tuple(arrows))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "arrows", tuple(self.arrows))
         if not self.nodes:
             raise ChainError("a chain has at least one node")
         if len(self.arrows) != len(self.nodes) - 1:

@@ -21,8 +21,10 @@ A reduction never depends on the conclusion: the premiss chain is fixed
 by the two premiss kinds and the figure, and the spliced chain also by
 the assumed term.  So the 1024 syllogisms need only 64 bare reductions
 and 192 spliced ones, read through ``_reduction(s, term)``: the one
-accessor of a dict keyed by those fields, filled from ``premiss_chain(s)``
-on a miss.  A ``Trace`` is immutable, so every verdict may share one.
+accessor of a dict keyed by those fields.  A bare miss builds
+``premiss_chain(s)``, and a spliced miss splices the bare entry's initial
+chain, so each of the 64 premiss chains is built once.  A ``Trace`` is
+immutable, so every verdict may share one.
 """
 
 from __future__ import annotations
@@ -83,9 +85,12 @@ class Mood(_Value):
     __slots__ = ("first", "second", "conclusion")
 
     def __init__(self, first: PropKind, second: PropKind, conclusion: PropKind) -> None:
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-        object.__setattr__(self, "conclusion", conclusion)
+        self._set(first, second, conclusion)
+
+    def __post_init__(self) -> None:
+        for kind in (self.first, self.second, self.conclusion):
+            if not isinstance(kind, PropKind):
+                raise ValueError(f"a mood's letters are PropKinds, got {kind!r}")
 
     @classmethod
     def from_text(cls, letters: str) -> "Mood":
@@ -124,9 +129,13 @@ class Syllogism(_Value):
     def __init__(
         self, mood: Mood, figure: Figure, assumption: Assumption = Assumption.NONE
     ) -> None:
-        object.__setattr__(self, "mood", mood)
-        object.__setattr__(self, "figure", figure)
-        object.__setattr__(self, "assumption", assumption)
+        self._set(mood, figure, assumption)
+
+    def __post_init__(self) -> None:
+        for name, cls in zip(self.__slots__, (Mood, Figure, Assumption)):
+            value = getattr(self, name)
+            if not isinstance(value, cls):
+                raise ValueError(f"a syllogism's {name} is of type {cls.__name__}, got {value!r}")
 
     def __str__(self) -> str:
         text = f"{self.mood}-{self.figure.value}"
@@ -141,10 +150,7 @@ class ReductionStep(_Value):
     __slots__ = ("position", "deleted_term", "before", "after")
 
     def __init__(self, position: int, deleted_term: TermId, before: Chain, after: Chain) -> None:
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "deleted_term", deleted_term)
-        object.__setattr__(self, "before", before)
-        object.__setattr__(self, "after", after)
+        self._set(position, deleted_term, before, after)
 
 
 class Trace(_Value):
@@ -155,9 +161,7 @@ class Trace(_Value):
     def __init__(
         self, initial: Chain, steps: tuple[ReductionStep, ...], normal_form: Chain
     ) -> None:
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "normal_form", normal_form)
+        self._set(initial, steps, normal_form)
 
     def step_lines(self) -> list[str]:
         return [
@@ -204,10 +208,7 @@ class Verdict(_Value):
         assumption: Assumption = Assumption.NONE,
         trace: Trace | None = None,
     ) -> None:
-        object.__setattr__(self, "validity", validity)
-        object.__setattr__(self, "assumption", assumption)
-        object.__setattr__(self, "trace", trace)
-        self.__post_init__()
+        self._set(validity, assumption, trace)
 
     def __post_init__(self) -> None:
         conditional = self.validity is Validity.VALID_WITH_ASSUMPTION
@@ -313,7 +314,10 @@ def _reduction(s: Syllogism, term: TermId | None) -> Trace:
     key = s.mood.first, s.mood.second, s.figure, term
     trace = _reductions.get(key)
     if trace is None:
-        chain = premiss_chain(s) if term is None else splice_existence(premiss_chain(s), term)
+        if term is None:
+            chain = premiss_chain(s)
+        else:  # the bare entry's chain, so each premiss chain is built once
+            chain = splice_existence(_reduction(s, None).initial, term)
         trace = _reductions[key] = normalize(chain)
     return trace
 

@@ -53,9 +53,7 @@ class SourceSpan(_Value):
     __slots__ = ("start", "end")
 
     def __init__(self, start: int, end: int) -> None:
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        self.__post_init__()
+        self._set(start, end)
 
     def __post_init__(self) -> None:
         if not 0 <= self.start <= self.end:
@@ -121,9 +119,14 @@ def _syllogism(key: _Key) -> Syllogism:
     return Syllogism(Mood(k1, k2, k3), figure, assumption)
 
 
+def _blank_comments(text: str) -> str:
+    """``text`` with each comment blanked in place, so offsets into it stay valid."""
+    return _COMMENT_RE.sub(lambda m: " " * len(m[0]), text) if "#" in text else text
+
+
 def parse_compact(text: str, offset: int = 0) -> Syllogism:
-    """Parse ``MOOD-FIGURE`` notation, e.g. ``AAI-3 +M``."""
-    m = _COMPACT_RE.match(text)
+    """Parse ``MOOD-FIGURE`` notation, e.g. ``AAI-3 +M``; '#' comments are ignored."""
+    m = _COMPACT_RE.match(_blank_comments(text))
     if m is None:
         raise NotationError(
             "expected MOOD-FIGURE notation such as 'EIO-2' or 'AAI-3 +M'",
@@ -315,9 +318,7 @@ def parse_any(text: str, offset: int = 0) -> Syllogism:
 def _any(text: str, offset: int, propositions: dict[str, tuple[PropKind, str, str]]) -> _Key:
     """The fields of either notation, a block's propositions looked up in
     ``propositions`` first."""
-    # blank comments out in place so offsets into ``clean`` stay offsets into ``text``
-    clean = _COMMENT_RE.sub(lambda m: " " * len(m[0]), text) if "#" in text else text
-    m = _COMPACT_RE.match(clean)
+    m = _COMPACT_RE.match(_blank_comments(text))
     return _block(text, offset, propositions) if m is None else _compact(m, offset)
 
 

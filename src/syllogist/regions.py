@@ -80,12 +80,9 @@ class RegionModel(_Value):
     __slots__ = ("terms", "inhabited")
 
     def __init__(self, terms: tuple[TermId, ...], inhabited: int) -> None:
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "inhabited", inhabited)
-        self.__post_init__()
+        self._set(tuple(terms), inhabited)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
         _check_terms(self.terms, MAX_VENN_TERMS)  # before the range check builds a 2^k-bit bound
         if not isinstance(self.inhabited, int):
             raise ValueError(f"an inhabitation mask is an int, got {self.inhabited!r}")
@@ -173,7 +170,8 @@ class ModelSpace(VennSpace):
 
     It shares the term space with ``VennSpace`` but decides by its own
     ``truth`` and ``entails``.  Model m is the pattern whose inhabitation
-    mask is m; a truth vector, built from the cached region, is cached too.
+    mask is m.  Its one cache holds truth vectors, each built from a
+    ``region_mask``; ``VennSpace``'s region cache stays empty here.
     """
 
     _cap = MAX_TERMS
@@ -194,12 +192,12 @@ class ModelSpace(VennSpace):
         key = p.kind, p.subject, p.predicate
         truth = self._truth.get(key)
         if truth is None:
-            particular, mask = self._region(p)
+            mask = region_mask(p, self.terms)
             hits = 0
             for atom, vector in enumerate(self._atoms):
                 if mask >> atom & 1:
                     hits |= vector
-            truth = self._truth[key] = hits if particular else self._all ^ hits
+            truth = self._truth[key] = hits if p.kind.particular else self._all ^ hits
         return truth
 
     def entails(

@@ -674,3 +674,24 @@ def test_catalog_commands_load_no_parser(argv, fmt):
     loaded = loaded_modules(argv[0], "--format", fmt, *argv[1:])
     assert {"syllogist.regions", "syllogist.catalog"} <= loaded
     assert "syllogist.notation" not in loaded
+
+
+@pytest.mark.parametrize("name, modules", [
+    ("VennSpace", {"syllogist.regions"}),
+    ("parse_any", {"syllogist.notation"}),
+])
+def test_a_lazy_name_loads_only_its_own_module(name, modules):
+    package_root = os.path.dirname(os.path.dirname(syllogist.__file__))
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import syllogist; "
+        f"syllogist.{name}; print(*sorted(sys.modules), file=sys.stderr)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script, package_root],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    package = {m for m in done.stderr.split() if m.startswith("syllogist.")}
+    assert package == {"syllogist.chains", "syllogist.inference"} | modules

@@ -316,13 +316,17 @@ def test_decide_agrees_with_fresh_reductions():
 def test_all_syllogisms_reduce_each_premiss_chain_once(monkeypatch):
     # a reduction depends on the premiss kinds, the figure and the assumed
     # term only: 64 bare and 192 spliced chains, where one reduction per
-    # decide and another per failed bare match would make 1747; each is
-    # built by the public premiss_chain, once per table key
+    # decide and another per failed bare match would make 1747; the public
+    # premiss_chain builds each of the 64 bare chains once, and a spliced
+    # entry splices the bare entry's chain
     inference._reductions.clear()
     calls = count_calls(monkeypatch, inference, "normalize")
     built = count_calls(monkeypatch, inference, "premiss_chain")
+    syllogisms = all_syllogisms()
+    assert len({id(s.mood) for s in syllogisms}) == 64
     enumerate_all()
-    assert len(calls) == len(built) == 256
+    assert len(calls) == 256
+    assert len(built) == 64
     # a spliced chain holds its assumed term twice, a bare one each term once
     spliced = [c for c in calls if any(len(c.occurrences(t)) == 2 for t in "SMP")]
     assert len(spliced) == 192
@@ -330,6 +334,19 @@ def test_all_syllogisms_reduce_each_premiss_chain_once(monkeypatch):
     built.clear()
     enumerate_all()
     assert calls == built == []
+
+
+def test_mood_and_syllogism_check_their_fields():
+    # unchecked, decide raised KeyError on the first and str() AttributeError on the second
+    with pytest.raises(ValueError, match="a mood's letters are PropKinds, got 'A'"):
+        Mood("A", "A", "A")
+    barbara = Mood.from_text("AAA")
+    with pytest.raises(ValueError, match="a syllogism's figure is of type Figure, got 1"):
+        Syllogism(barbara, 1)
+    with pytest.raises(ValueError, match="assumption is of type Assumption, got 'S'"):
+        Syllogism(barbara, Figure.ONE, "S")
+    with pytest.raises(ValueError, match="a syllogism's mood is of type Mood"):
+        Syllogism("AAA", Figure.ONE)
 
 
 def test_verdict_names_an_assumption_exactly_when_conditional():

@@ -290,10 +290,12 @@ def test_parse_any_splits_a_block_at_any_line_break():
 
 
 def test_parse_any_ignores_comments():
-    assert parse_any("AAA-1  # note") == syl("AAA-1")
-    with pytest.raises(BadMoodLetter) as exc:
-        parse_any("AXA-1 # c")
-    assert (exc.value.span.start, exc.value.span.end) == (1, 2)
+    # parse_compact too, as the notation promises for every parser
+    for parse in (parse_any, parse_compact):
+        assert parse("AAA-1  # Barbara") == syl("AAA-1")
+        with pytest.raises(BadMoodLetter) as exc:
+            parse("AXA-1 # c")
+        assert (exc.value.span.start, exc.value.span.end) == (1, 2)
 
 
 # --- corpus -----------------------------------------------------------------

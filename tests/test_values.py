@@ -1,6 +1,7 @@
 """The value classes' contract, and the names the package exports."""
 
 import copy
+import inspect
 import pickle
 from enum import Enum
 from types import ModuleType
@@ -33,6 +34,7 @@ from syllogist import (
     parse_proposition,
     premiss_chain,
 )
+from syllogist.chains import _Value
 
 A, E = PropKind.A, PropKind.E
 AB = Chain(("A", "B"), (Arrow.RIGHT,))
@@ -128,6 +130,15 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert list(values(cls)) == [getattr(value, name) for name, _v, _o in CASES[cls]]
+
+
+def test_every_value_class_is_listed():
+    assert set(_Value.__subclasses__()) == set(CASES)
+
+
+def test_init_parameters_are_the_slots_in_order(cls):
+    # _set stores the fields in this order, and _fields, __reduce__ and repr read them so
+    assert tuple(inspect.signature(cls).parameters) == cls.__slots__
 
 
 def test_repr_names_each_field_in_order(cls):
