@@ -5,58 +5,28 @@ diagrams to a normal form and matching the conclusion's shape, and by
 exhaustively enumerating region models as a semantic oracle.  The catalog
 module runs both over every mood and figure and checks they agree.
 
-The calculus (``chains`` and ``inference``) loads with the package.  The
-names of the notation, the oracle (``regions``) and the catalog load on
-first use (PEP 562), so a process imports the parser only when it parses
-and the oracle and the catalog only when it runs them.  ``__all__`` lists
-every public name, so ``from syllogist import *`` loads all three.
+``import syllogist`` loads no submodule.  Every public name loads its
+module on first use (PEP 562), so a process imports the parser only when
+it parses and the oracle and the catalog only when it runs them.
+``__all__`` lists every public name, so ``from syllogist import *`` loads
+every module.
 """
 
-from .chains import (
-    BULLET,
-    Arrow,
-    Chain,
-    ChainError,
-    JunctionMismatch,
-    NoSuchOccurrence,
-    PropKind,
-    Proposition,
-    TermId,
-    chain_along,
-    chain_from_text,
-    concat,
-    diagram,
-    is_bullet,
-    is_term,
-    splice_existence,
-)
-from .inference import (
-    MAJOR,
-    MIDDLE,
-    MINOR,
-    Assumption,
-    Figure,
-    Mood,
-    NotReducible,
-    ReductionStep,
-    Syllogism,
-    Trace,
-    Validity,
-    Verdict,
-    assumption_proposition,
-    conclusion_of,
-    decide,
-    match_conclusion,
-    normalize,
-    premiss_chain,
-    premisses_of,
-    reduce_at,
-    reducible_positions,
-)
 __version__ = "0.1.0"
 
-# each name that loads on first use, and the module it loads
+# each public name, and the module it loads on first use
 _LAZY = {
+    **dict.fromkeys((
+        "BULLET", "Arrow", "Chain", "ChainError", "JunctionMismatch", "NoSuchOccurrence",
+        "PropKind", "Proposition", "TermId", "chain_along", "chain_from_text", "concat",
+        "diagram", "is_bullet", "is_term", "splice_existence",
+    ), "chains"),
+    **dict.fromkeys((
+        "MAJOR", "MIDDLE", "MINOR", "Assumption", "Figure", "Mood", "NotReducible",
+        "ReductionStep", "Syllogism", "Trace", "Validity", "Verdict",
+        "assumption_proposition", "conclusion_of", "decide", "match_conclusion",
+        "normalize", "premiss_chain", "premisses_of", "reduce_at", "reducible_positions",
+    ), "inference"),
     **dict.fromkeys((
         "AmbiguousTerms", "BadFigure", "BadMoodLetter", "NotASyllogism", "NotationError",
         "SourceSpan", "parse_any", "parse_compact", "parse_corpus", "parse_proposition",
@@ -73,12 +43,8 @@ _LAZY = {
     ), "catalog"),
 }
 
-# every public name, the submodules aside: a star-import resolves the
-# lazy ones through __getattr__, loading their modules
-__all__ = sorted(
-    {name for name in globals() if not name.startswith("_")} - {"chains", "inference"}
-    | _LAZY.keys()
-)
+# a star-import resolves each name through __getattr__, loading its module
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):

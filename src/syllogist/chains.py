@@ -52,11 +52,13 @@ class NoSuchOccurrence(ChainError):
 class _Value:
     """Base of the package's immutable value classes.
 
-    A subclass lists its fields in ``__slots__``, in order, and its
-    ``__init__``, whose parameters are those fields in that order, is one
-    ``_set`` call: the one place that stores fields, which then runs
-    ``__post_init__``, the one check hook.  Equality and
-    hashing go by class and field values, ``repr`` reads
+    A subclass lists its own fields in ``__slots__``, in order.  Its
+    fields, ``_names``, are its base class's, then those slots, found once
+    when the class is made, so a subclass that declares ``__slots__ = ()``
+    keeps its base's fields.  Its ``__init__``, whose parameters are those
+    fields in that order, is one ``_set`` call: the one place that stores
+    fields, which then runs ``__post_init__``, the one check hook.
+    Equality and hashing go by class and field values, ``repr`` reads
     ``Name(field=value, ...)``, and copying and pickling rebuild the value
     through its constructor, so its checks run again.  No subclass
     overrides equality or hashing: no command compares or hashes a value,
@@ -65,10 +67,14 @@ class _Value:
     """
 
     __slots__ = ()
+    _names: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._names += tuple(cls.__dict__.get("__slots__", ()))
 
     def _set(self, *values: object) -> None:
         store = object.__setattr__  # found once: finding it costs more than a call
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self._names, values):
             store(self, name, value)
         self.__post_init__()
 
@@ -82,7 +88,7 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._names)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -93,7 +99,7 @@ class _Value:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:

@@ -4,8 +4,9 @@ Subcommands: ``check``, ``trace``, ``tables``, ``laws``, ``count`` and
 ``parse``.  Output is plain text by default; ``--format json`` emits
 machine-readable objects with stable keys, and ``--format dot`` renders a
 reduction as a two-row directed graph.  Exit codes: 0 when everything
-checked out valid, 1 when some syllogism is invalid or a count misses
-3n^2-n, 2 on parse or usage errors, and 141, with nothing on stderr, when
+checked out valid, 1 when some syllogism is invalid, a ``tables`` row's
+two verdicts disagree, a law fails or a count misses 3n^2-n (in either
+format), 2 on parse or usage errors, and 141, with nothing on stderr, when
 the output pipe closes early (as for a writer ended by SIGPIPE).
 
 ``check``, ``trace`` and ``parse`` share one report path.  ``check``

@@ -132,7 +132,7 @@ class Syllogism(_Value):
         self._set(mood, figure, assumption)
 
     def __post_init__(self) -> None:
-        for name, cls in zip(self.__slots__, (Mood, Figure, Assumption)):
+        for name, cls in zip(self._names, (Mood, Figure, Assumption)):
             value = getattr(self, name)
             if not isinstance(value, cls):
                 raise ValueError(f"a syllogism's {name} is of type {cls.__name__}, got {value!r}")

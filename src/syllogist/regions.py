@@ -7,7 +7,7 @@ import is built in.  This module never looks at chains or reductions.
 
 Two oracles answer one query, ``.entails(premisses, conclusion,
 assumptions)``, over one term space: ``VennSpace(terms)``, the checked term
-tuple and its cached ``region_mask``s.  ``VennSpace`` decides in closed form,
+tuple and one per-proposition cache.  ``VennSpace`` decides in closed form,
 so the n-term counts go further.  ``space_for(terms)``, a ``ModelSpace`` of
 ``MAX_TERMS`` at most, keeps its own procedure for the tables and the check
 on ``VennSpace``: all 2^(2^k) models at once, a truth vector being an ``int``
@@ -121,9 +121,11 @@ class VennSpace:
     """A term space, and closed-form entailment over its 2^k atoms: the Venn method.
 
     The space holds the term tuple, free of duplicates and within the
-    class's cap, and each proposition's ``(particular?, region mask)``,
-    cached under ``(kind, subject, predicate)``, a tuple that hashes in C.
-    A region mask has 2^k bits, so k is capped at ``MAX_VENN_TERMS``.
+    class's cap, and one dict, ``_cache``, of what the space has worked out
+    per proposition, keyed by ``(kind, subject, predicate)``, a tuple that
+    hashes in C.  ``VennSpace`` stores each proposition's ``(particular?,
+    region mask)`` there.  A region mask has 2^k bits, so k is capped at
+    ``MAX_VENN_TERMS``.
 
     Premisses, assumptions and the negated conclusion hold together exactly
     when each particular one's region keeps an atom that no universal one
@@ -136,13 +138,13 @@ class VennSpace:
     def __init__(self, terms: Sequence[TermId]):
         self.terms = tuple(terms)
         _check_terms(self.terms, self._cap)
-        self._regions: dict[tuple[PropKind, TermId, TermId], tuple[bool, int]] = {}
+        self._cache: dict[tuple[PropKind, TermId, TermId], object] = {}
 
     def _region(self, p: Proposition) -> tuple[bool, int]:
         key = p.kind, p.subject, p.predicate
-        known = self._regions.get(key)
+        known = self._cache.get(key)
         if known is None:
-            known = self._regions[key] = (p.kind.particular, region_mask(p, self.terms))
+            known = self._cache[key] = (p.kind.particular, region_mask(p, self.terms))
         return known
 
     def entails(
@@ -170,8 +172,8 @@ class ModelSpace(VennSpace):
 
     It shares the term space with ``VennSpace`` but decides by its own
     ``truth`` and ``entails``.  Model m is the pattern whose inhabitation
-    mask is m.  Its one cache holds truth vectors, each built from a
-    ``region_mask``; ``VennSpace``'s region cache stays empty here.
+    mask is m.  The space's one dict, ``_cache``, holds truth vectors
+    here, each built from a ``region_mask``; ``_region`` is never called.
     """
 
     _cap = MAX_TERMS
@@ -182,7 +184,6 @@ class ModelSpace(VennSpace):
         self._size = 1 << n_atoms
         self._all = (1 << self._size) - 1
         self._atoms = [_atom_vector(a, self._size) for a in range(n_atoms)]
-        self._truth: dict[tuple[PropKind, TermId, TermId], int] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -190,14 +191,14 @@ class ModelSpace(VennSpace):
     def truth(self, p: Proposition) -> int:
         """Truth vector of ``p``: bit m is its truth in model m."""
         key = p.kind, p.subject, p.predicate
-        truth = self._truth.get(key)
+        truth = self._cache.get(key)
         if truth is None:
             mask = region_mask(p, self.terms)
             hits = 0
             for atom, vector in enumerate(self._atoms):
                 if mask >> atom & 1:
                     hits |= vector
-            truth = self._truth[key] = hits if p.kind.particular else self._all ^ hits
+            truth = self._cache[key] = hits if p.kind.particular else self._all ^ hits
         return truth
 
     def entails(

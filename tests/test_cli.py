@@ -676,15 +676,20 @@ def test_catalog_commands_load_no_parser(argv, fmt):
     assert "syllogist.notation" not in loaded
 
 
+# a name read after a bare ``import syllogist`` (None: none), and the submodules then loaded
 @pytest.mark.parametrize("name, modules", [
-    ("VennSpace", {"syllogist.regions"}),
-    ("parse_any", {"syllogist.notation"}),
+    ("VennSpace", {"chains", "inference", "regions"}),
+    ("parse_any", {"chains", "inference", "notation"}),
+    (None, set()),
+    ("Chain", {"chains"}),
+    ("decide", {"chains", "inference"}),
 ])
 def test_a_lazy_name_loads_only_its_own_module(name, modules):
     package_root = os.path.dirname(os.path.dirname(syllogist.__file__))
+    read = f"syllogist.{name}; " if name else ""
     script = (
         "import sys; sys.path.insert(0, sys.argv[1]); import syllogist; "
-        f"syllogist.{name}; print(*sorted(sys.modules), file=sys.stderr)"
+        f"{read}print(*sorted(sys.modules), file=sys.stderr)"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", script, package_root],
@@ -694,4 +699,4 @@ def test_a_lazy_name_loads_only_its_own_module(name, modules):
         timeout=60,
     )
     package = {m for m in done.stderr.split() if m.startswith("syllogist.")}
-    assert package == {"syllogist.chains", "syllogist.inference"} | modules
+    assert package == {f"syllogist.{module}" for module in modules}

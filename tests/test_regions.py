@@ -90,6 +90,13 @@ def test_the_oracles_share_one_term_space_and_decide_apart():
     assert "entails" in vars(ModelSpace) and "truth" in vars(ModelSpace)
 
 
+def test_a_model_space_keeps_one_cache_and_fills_it():
+    # a space has one per-proposition dict; a ModelSpace fills it with truth vectors
+    enumerate_all()
+    space = space_for(SMP)
+    assert [name for name, value in vars(space).items() if value == {}] == []
+
+
 def test_venn_space_caps_terms():
     assert MAX_COUNT_TERMS <= MAX_VENN_TERMS
     terms = tuple(f"T{i}" for i in range(MAX_VENN_TERMS + 1))

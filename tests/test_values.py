@@ -189,6 +189,28 @@ def test_cloned_chains_hold_the_bullet_itself():
         assert clone.bullet_count == 2
 
 
+class NamedSyllogism(Syllogism):
+    """A subclass that declares no field of its own: it keeps its base's."""
+
+    __slots__ = ()
+
+
+def test_a_subclass_with_empty_slots_keeps_and_checks_its_fields():
+    value = NamedSyllogism(Mood(A, A, A), Figure.ONE)
+    assert (value.mood, value.figure, value.assumption) == (
+        BARBARA.mood, BARBARA.figure, BARBARA.assumption
+    )
+    assert decide(value).validity is Validity.VALID
+    with pytest.raises(ValueError, match="mood"):
+        NamedSyllogism("x", "y")
+    assert value == NamedSyllogism(Mood(A, A, A), Figure.ONE) != BARBARA
+    assert repr(value) == "Named" + repr(BARBARA)
+    for clone in clones(value):
+        assert type(clone) is NamedSyllogism
+        assert clone == value
+        assert hash(clone) == hash(value)
+
+
 @pytest.mark.parametrize("enum", ENUMS, ids=lambda enum: enum.__name__)
 def test_enum_members_hash_by_identity_or_as_ints(enum):
     # the plain enums hash by identity, in C; Figure is an IntEnum, hashed as its int
