@@ -343,10 +343,9 @@ def splice_existence(chain: Chain, term: TermId, occurrence: int = 0) -> Chain:
     """
     _check_term(term)
     spots = chain.occurrences(term)
-    if occurrence < 0 or occurrence >= len(spots):
-        raise NoSuchOccurrence(
-            f"occurrence {occurrence} of term {term!r} not found in {chain}"
-        )
+    # an int proper: a bool or a float would index the list or break the comparison
+    if type(occurrence) is not int or not 0 <= occurrence < len(spots):
+        raise NoSuchOccurrence(f"occurrence {occurrence!r} of term {term!r} not found in {chain}")
     i = spots[occurrence]
     # the chain's own node, not the caller's ``term``, so nothing unchecked gets in
     node = chain.nodes[i]

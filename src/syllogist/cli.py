@@ -21,8 +21,9 @@ a leading byte order mark is dropped, and offsets count from after it.
 A run decides and renders each distinct syllogism once (there are 1024),
 however often a corpus repeats it, and prints one result per block.  A
 corpus parses each distinct block text and each distinct proposition text
-once, and ``--format json`` encodes each distinct entry once; the list it
-prints is the text of ``json.dumps(entries, indent=2)``.  Equal syllogisms
+once, and ``--format json`` encodes each distinct entry once.  Each
+input's cached text is written as it is reached, a json list entry by
+entry as the text of ``json.dumps(entries, indent=2)``.  Equal syllogisms
 in a corpus are one object, so the run's cache of reports is keyed by
 identity (``id``) and a repeated block costs one lookup in C.
 
@@ -158,10 +159,10 @@ def cmd_report(args) -> int:
     """``check``, ``trace`` and ``parse``: one report per input, printed as it is built.
 
     A run builds each distinct input's report once, its line break
-    included, and writes the cached text for every input.  A corpus in
-    json prints one list, assembled from each distinct entry's text.
-    Every input parses before the first report is printed, so a parse
-    error prints nothing else.
+    included, and writes the cached text for every input as it is
+    reached.  A corpus in json prints one list, each entry written after
+    its separator.  Every input parses before the first report is
+    printed, so a parse error prints nothing else.
     """
     from .notation import NotationError
 
@@ -170,8 +171,9 @@ def cmd_report(args) -> int:
     except NotationError as err:
         return _fail(err, f" (chars {err.span.start}..{err.span.end})" if err.span else "")
     status = 0
-    entries = []
     json_list = args.format == "json" and args.corpus is not None
+    # json.dumps(entries, indent=2), written as each entry is reached
+    sep, between = ("[\n  ", ",\n  ") if json_list else ("", "")
     # keyed by identity: the input list keeps every key alive for the run,
     # and a corpus gives equal syllogisms as one object
     reports: dict[int, tuple[bool, str]] = {}
@@ -189,13 +191,10 @@ def cmd_report(args) -> int:
         valid, out = report
         if not valid:
             status = 1
-        if json_list:
-            entries.append(out)
-        else:
-            sys.stdout.write(out)
+        sys.stdout.write(sep + out)
+        sep = between
     if json_list:
-        # the text json.dumps gives the list of entries, with indent=2
-        print("[\n  " + ",\n  ".join(entries) + "\n]" if entries else "[]")
+        print("\n]" if inputs else "[]")
     return status
 
 

@@ -124,15 +124,15 @@ def _blank_comments(text: str) -> str:
     return _COMMENT_RE.sub(lambda m: " " * len(m[0]), text) if "#" in text else text
 
 
-def parse_compact(text: str, offset: int = 0) -> Syllogism:
+def parse_compact(text: str) -> Syllogism:
     """Parse ``MOOD-FIGURE`` notation, e.g. ``AAI-3 +M``; '#' comments are ignored."""
     m = _COMPACT_RE.match(_blank_comments(text))
     if m is None:
         raise NotationError(
             "expected MOOD-FIGURE notation such as 'EIO-2' or 'AAI-3 +M'",
-            SourceSpan(offset, offset + len(text)),
+            SourceSpan(0, len(text)),
         )
-    return _syllogism(_compact(m, offset))
+    return _syllogism(_compact(m, 0))
 
 
 def _compact(m: re.Match, offset: int) -> _Key:
@@ -199,9 +199,9 @@ def _proposition(text: str, offset: int) -> tuple[PropKind, str, str]:
     return kind, _term_token(m, 2, offset), _term_token(m, 4 if m[5] is None else 5, offset)
 
 
-def parse_proposition(text: str, offset: int = 0) -> Proposition:
+def parse_proposition(text: str) -> Proposition:
     """Parse one of the four proposition templates."""
-    return Proposition(*_proposition(text, offset))
+    return Proposition(*_proposition(text, 0))
 
 
 _TEMPLATES = {
@@ -225,7 +225,7 @@ def _segments(text: str) -> list[tuple[str, int]]:
     ]
 
 
-def parse_syllogism_block(text: str, offset: int = 0) -> Syllogism:
+def parse_syllogism_block(text: str) -> Syllogism:
     """Parse three propositions (plus optional assumption) into a syllogism.
 
     The figure is inferred from term positions: the middle term is the one
@@ -233,7 +233,7 @@ def parse_syllogism_block(text: str, offset: int = 0) -> Syllogism:
     and the first premiss must carry the conclusion's predicate, the
     second its subject.
     """
-    return _syllogism(_block(text, offset, {}))
+    return _syllogism(_block(text, 0, {}))
 
 
 def _block(text: str, offset: int, propositions: dict[str, tuple[PropKind, str, str]]) -> _Key:
@@ -310,9 +310,9 @@ def render_block(s: Syllogism) -> str:
     return text
 
 
-def parse_any(text: str, offset: int = 0) -> Syllogism:
+def parse_any(text: str) -> Syllogism:
     """Parse either notation, routed on the input's shape; '#' comments are ignored."""
-    return _syllogism(_any(text, offset, {}))
+    return _syllogism(_any(text, 0, {}))
 
 
 def _any(text: str, offset: int, propositions: dict[str, tuple[PropKind, str, str]]) -> _Key:

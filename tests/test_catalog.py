@@ -226,6 +226,8 @@ def test_exclusion_of_a_term_from_itself():
 def test_exclusion_requires_both_terms():
     with pytest.raises(TermNotInChain):
         mutually_excluded(ch("A -> * <- B"), "A", "Q")
+    with pytest.raises(TermNotInChain, match="'Q'"):
+        mutually_excluded(ch("A -> * <- B"), "Q", "A")
     with pytest.raises(TermNotInChain):
         mutually_excluded(ch("A -> B"), "A", "A")
 

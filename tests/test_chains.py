@@ -234,6 +234,12 @@ def test_splice_missing_occurrence():
         splice_existence(ch("S -> M -> P"), "Q")
     with pytest.raises(NoSuchOccurrence):
         splice_existence(ch("S -> M -> P"), "M", occurrence=1)
+    # only an int indexes the occurrences: not a string, a float or a bool
+    for occurrence in ("0", 0.0):
+        with pytest.raises(NoSuchOccurrence):
+            splice_existence(ch("A -> B"), "A", occurrence)
+    with pytest.raises(NoSuchOccurrence):
+        splice_existence(ch("A -> A -> B"), "A", True)
 
 
 @pytest.mark.parametrize("term", [BULLET, "", "->", "two words", 5])
@@ -278,6 +284,8 @@ def test_chain_validation():
         Chain(("",), ())
     with pytest.raises(ChainError):
         Chain(("S", "two words"), (R,))
+    with pytest.raises(ChainError, match="not an arrow: '->'"):
+        Chain(("A", "B"), ("->",))
 
 
 def test_bullet_is_never_a_term():

@@ -315,6 +315,16 @@ def test_count_mismatch_exits_1(monkeypatch, capsys):
     assert "3n^2-n = 24 (MISMATCH)" in out
 
 
+def test_count_json(monkeypatch, capsys):
+    code, out, _ = run(capsys, "count", "3", "--format", "json")
+    assert code == 0
+    assert out == json.dumps({"n": 3, "count": 24, "formula": 24, "match": True}, indent=2) + "\n"
+    monkeypatch.setattr(catalog, "count_valid_nterm", lambda n: 25)
+    code, out, _ = run(capsys, "count", "3", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["match"] is False
+
+
 def test_count_unsupported(capsys):
     code, out, err = run(capsys, "count", "7")
     assert code == 2
@@ -464,6 +474,35 @@ def test_corpus_output_is_the_single_outputs_in_order(tmp_path, capsys, command,
         assert out == "".join(single_out for _c, single_out, _e in singles)
     # parse decides nothing, so it exits 0 on the invalid OEI-4
     assert code == max(single_code for single_code, _o, _e in singles) == (command != "parse")
+
+
+class _Writes:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_a_json_corpus_is_written_entry_by_entry(tmp_path, monkeypatch):
+    corpus = tmp_path / "long.syl"
+    corpus.write_text((REPEATS + "\n") * 16)
+    stdout = _Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["trace", "--format", "json", "--corpus", str(corpus)]) == 1
+    text = "".join(stdout.writes)
+    entries = json.loads(text)
+    assert len(entries) == 128
+    assert text == json.dumps(entries, indent=2) + "\n"
+    # no write holds more than one entry, nested a level, and its separator
+    longest = max(len(json.dumps(e, indent=2).replace("\n", "\n  ")) for e in entries)
+    assert max(map(len, stdout.writes)) <= longest + len(",\n  ")
 
 
 def test_corpus_labels_each_distinct_syllogism_once(tmp_path, capsys, monkeypatch):

@@ -340,6 +340,9 @@ def test_mood_and_syllogism_check_their_fields():
     # unchecked, decide raised KeyError on the first and str() AttributeError on the second
     with pytest.raises(ValueError, match="a mood's letters are PropKinds, got 'A'"):
         Mood("A", "A", "A")
+    for letters in ("AAAA", "AA"):
+        with pytest.raises(ValueError, match="a mood has three letters"):
+            Mood.from_text(letters)
     barbara = Mood.from_text("AAA")
     with pytest.raises(ValueError, match="a syllogism's figure is of type Figure, got 1"):
         Syllogism(barbara, 1)

@@ -1,5 +1,6 @@
 """Compact and block notation: parsing, rendering, round trips, spans."""
 
+import inspect
 import re
 import sys
 from itertools import groupby
@@ -152,8 +153,8 @@ def test_proposition_template_error_spans(n, lead, trail):
     body = " ".join("Most S are P or not Q".split()[:n])
     text = lead + body + trail
     with pytest.raises(NotationError, match="expected 'All X is Y'") as exc:
-        parse_proposition(text, 3)
-    start, end = (3 + len(lead), 3 + len(lead) + len(body)) if body else (3, 3 + len(text))
+        parse_proposition(text)
+    start, end = (len(lead), len(lead) + len(body)) if body else (0, len(text))
     assert (exc.value.span.start, exc.value.span.end) == (start, end)
 
 
@@ -166,8 +167,8 @@ def test_proposition_words_split_at_any_whitespace(lead, trail):
 @pytest.mark.parametrize("space", ["\x1c", "\x85"])
 def test_term_spans_end_at_the_whitespace_after_them(space):
     with pytest.raises(NotationError, match="got '1S'") as exc:
-        parse_proposition(f"All 1S{space}is P{space}", 5)
-    assert (exc.value.span.start, exc.value.span.end) == (9, 11)
+        parse_proposition(f"All 1S{space}is P{space}")
+    assert (exc.value.span.start, exc.value.span.end) == (4, 6)
     with pytest.raises(NotationError, match="reserved word") as exc:
         parse_proposition(f"Some S is not not{space}")
     assert (exc.value.span.start, exc.value.span.end) == (14, 17)
@@ -328,6 +329,12 @@ def test_parse_corpus_span_after_a_leading_comment():
     with pytest.raises(BadMoodLetter) as exc:
         parse_corpus(text)
     assert (exc.value.span.start, exc.value.span.end) == (text.index("X"), text.index("X") + 1)
+
+
+def test_a_span_runs_forward_from_zero():
+    for start, end in ((3, 1), (-1, 2)):
+        with pytest.raises(ValueError, match=f"bad span {start}..{end}"):
+            SourceSpan(start, end)
 
 
 def test_spans_are_character_offsets():
@@ -529,7 +536,13 @@ def _parse_every_block(text):
         block = "".join(group)
         end = start + len(block)
         if notation._COMMENT_RE.sub("", block).strip():
-            results.append((parse_any(block, start), SourceSpan(start, end)))
+            try:
+                s = parse_any(block)
+            except NotationError as exc:
+                # a block's spans count from its own start: shift them into the text
+                exc.span = SourceSpan(start + exc.span.start, start + exc.span.end)
+                raise
+            results.append((s, SourceSpan(start, end)))
         start = end
     return results
 
@@ -601,3 +614,9 @@ def test_parsers_raise_only_notation_errors_with_spans_inside_the_input(text):
         except NotationError as exc:
             assert exc.span is not None
             assert 0 <= exc.span.start <= exc.span.end <= len(text)
+
+
+@pytest.mark.parametrize("parse", [parse_any, parse_compact, parse_syllogism_block, parse_proposition])
+def test_public_parsers_take_only_their_text(parse):
+    # spans count from the start of the text, so no caller can shift one out of it
+    assert list(inspect.signature(parse).parameters) == ["text"]
