@@ -21,11 +21,15 @@ a leading byte order mark is dropped, and offsets count from after it.
 A run decides and renders each distinct syllogism once (there are 1024),
 however often a corpus repeats it, and prints one result per block.  A
 corpus parses each distinct block text and each distinct proposition text
-once, and ``--format json`` encodes each distinct entry once.  Each
-input's cached text is written as it is reached, a json list entry by
-entry as the text of ``json.dumps(entries, indent=2)``.  Equal syllogisms
-in a corpus are one object, so the run's cache of reports is keyed by
-identity (``id``) and a repeated block costs one lookup in C.
+once, and ``--format json`` encodes each distinct entry once and each
+distinct trace once (there are at most 256), splicing a trace's cached
+text into every entry that shows it.  Each input's cached text joins the
+output as it is reached, a json list entry by entry as the text of
+``json.dumps(entries, indent=2)``, and the output goes out in writes of
+at most ``BATCH`` characters plus one entry, however stdout is buffered.
+Equal syllogisms in a corpus are one object, so the run's cache of
+reports is keyed by identity (``id``) and a repeated block costs one
+lookup in C.
 
 Deciding and rendering differ in what they depend on.  A reduction
 depends only on the premiss kinds, the figure and the assumed term, so
@@ -57,6 +61,9 @@ from .inference import (
     _reduction,
     decide,
 )
+
+# characters of output a report run gathers before one write to stdout
+BATCH = 1 << 16
 
 
 def _load_inputs(args) -> list[Syllogism]:
@@ -106,12 +113,13 @@ def trace_dot(trace: Trace, label: str) -> str:
     return "\n".join(lines)
 
 
-def _report(args, s: Syllogism) -> tuple[bool, str]:
+def _report(args, s: Syllogism, traces: dict[int, tuple[Trace, str]]) -> tuple[bool, str]:
     """Whether the input is valid, and its output as printed for a single input.
 
     ``parse`` only renders the canonical forms and decides nothing.  An
     invalid verdict carries no trace: ``trace`` and ``--format dot`` show
     its bare reduction instead, read from the table ``decide`` just filled.
+    ``traces`` holds the run's json text of each trace it has shown.
     """
     label = str(s) if args.corpus is not None else args.notation
     if args.command == "parse":
@@ -140,8 +148,15 @@ def _report(args, s: Syllogism) -> tuple[bool, str]:
             "input": label,
             "verdict": verdict.validity.value,
             "assumption": verdict.assumption.term,
-            "trace": trace.as_dict() if trace is not None else None,
+            "trace": None,
         })
+        if trace is not None:
+            # keyed by identity, and the trace is kept so that its id stays its own
+            cached = traces.get(id(trace))
+            if cached is None:
+                # nested a level, as the entry's last value: see cmd_report on "\n"
+                cached = traces[id(trace)] = trace, _json(trace.as_dict()).replace("\n", "\n  ")
+            out = out[: -len("null\n}")] + cached[1] + "\n}"
     elif args.command == "check":
         out = f"{label}: {phrase}"
     else:
@@ -156,13 +171,16 @@ def _report(args, s: Syllogism) -> tuple[bool, str]:
 
 
 def cmd_report(args) -> int:
-    """``check``, ``trace`` and ``parse``: one report per input, printed as it is built.
+    """``check``, ``trace`` and ``parse``: one report per input, written in batches.
 
     A run builds each distinct input's report once, its line break
-    included, and writes the cached text for every input as it is
-    reached.  A corpus in json prints one list, each entry written after
-    its separator.  Every input parses before the first report is
-    printed, so a parse error prints nothing else.
+    included, and each distinct trace's json text once.  The cached text
+    for every input joins the output as it is reached, and the output goes
+    out whenever it reaches ``BATCH`` characters and once at the end, so
+    no run holds more than one batch and one entry.  A corpus in json
+    prints one list, each entry after its separator.  Every input parses
+    before the first report is printed, so a parse error prints nothing
+    else.
     """
     from .notation import NotationError
 
@@ -172,15 +190,18 @@ def cmd_report(args) -> int:
         return _fail(err, f" (chars {err.span.start}..{err.span.end})" if err.span else "")
     status = 0
     json_list = args.format == "json" and args.corpus is not None
-    # json.dumps(entries, indent=2), written as each entry is reached
+    # json.dumps(entries, indent=2), joined as each entry is reached
     sep, between = ("[\n  ", ",\n  ") if json_list else ("", "")
     # keyed by identity: the input list keeps every key alive for the run,
     # and a corpus gives equal syllogisms as one object
     reports: dict[int, tuple[bool, str]] = {}
+    traces: dict[int, tuple[Trace, str]] = {}
+    pending: list[str] = []
+    size = 0
     for s in inputs:
         report = reports.get(id(s))
         if report is None:
-            valid, out = _report(args, s)
+            valid, out = _report(args, s, traces)
             if json_list:
                 # json.dumps escapes every newline inside a string, so each raw
                 # "\n" is structural: indenting after it nests the entry one level
@@ -191,10 +212,16 @@ def cmd_report(args) -> int:
         valid, out = report
         if not valid:
             status = 1
-        sys.stdout.write(sep + out)
+        pending += sep, out
+        size += len(sep) + len(out)
+        if size >= BATCH:
+            sys.stdout.write("".join(pending))
+            pending.clear()
+            size = 0
         sep = between
     if json_list:
-        print("\n]" if inputs else "[]")
+        pending.append("\n]\n" if inputs else "[]\n")
+    sys.stdout.write("".join(pending))
     return status
 
 

@@ -253,20 +253,34 @@ def test_tables_text_layout(capsys):
     assert out == "\n".join(TABLES_TEXT) + "\n"
 
 
+def cli_env(unbuffered: bool | None = None) -> dict:
+    """This environment, with PYTHONUNBUFFERED set to 1, unset, or (None) as it is."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(syllogist.__file__))}
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def close_after_first_line(argv, env) -> tuple[bytes, int, bytes]:
+    """Run the CLI, read one line of its output and close the pipe."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "syllogist.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    return first, proc.returncode, err
+
+
 def test_a_closed_output_pipe_ends_the_run_quietly():
     # the json table is about 141 KB, more than a 64 KiB pipe buffer holds, so
     # the writer is still writing when the reader closes its end
-    package_root = os.path.dirname(os.path.dirname(syllogist.__file__))
-    with subprocess.Popen(
-        [sys.executable, "-m", "syllogist.cli", "tables", "--format", "json"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": package_root},
-    ) as proc:
-        assert proc.stdout.readline() == b"[\n"
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=60)
-    assert (proc.returncode, err) == (141, b"")
+    assert close_after_first_line(["tables", "--format", "json"], cli_env()) == (b"[\n", 141, b"")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -490,19 +504,62 @@ class _Writes:
         pass
 
 
-def test_a_json_corpus_is_written_entry_by_entry(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "argv, repeats", [(("check",), 1500), (("trace", "--format", "json"), 80)], ids=["check", "trace-json"]
+)
+def test_a_corpus_is_written_in_bounded_batches(tmp_path, capsys, monkeypatch, argv, repeats):
     corpus = tmp_path / "long.syl"
-    corpus.write_text((REPEATS + "\n") * 16)
+    corpus.write_text((REPEATS + "\n") * repeats)
+    blocks = [s for s, _span in parse_corpus(REPEATS)] * repeats
+    if argv == ("check",):
+        singles = {label: run(capsys, "check", label)[1] for label in set(map(str, blocks))}
+        outs = [singles[str(s)] for s in blocks]
+        expected, sep = "".join(outs), ""
+    else:
+        entries = [json_entry("trace", s, str(s)) for s in blocks]
+        outs = [json.dumps(e, indent=2).replace("\n", "\n  ") for e in entries]
+        expected, sep = json.dumps(entries, indent=2) + "\n", ",\n  "
+    assert len(expected) >= 3 * cli.BATCH
     stdout = _Writes()
     monkeypatch.setattr(sys, "stdout", stdout)
-    assert main(["trace", "--format", "json", "--corpus", str(corpus)]) == 1
-    text = "".join(stdout.writes)
-    entries = json.loads(text)
-    assert len(entries) == 128
-    assert text == json.dumps(entries, indent=2) + "\n"
-    # no write holds more than one entry, nested a level, and its separator
-    longest = max(len(json.dumps(e, indent=2).replace("\n", "\n  ")) for e in entries)
-    assert max(map(len, stdout.writes)) <= longest + len(",\n  ")
+    assert main([*argv, "--corpus", str(corpus)]) == 1
+    assert "".join(stdout.writes) == expected
+    # a write goes out once a batch is full, so it holds at most one entry more
+    assert max(map(len, stdout.writes)) <= cli.BATCH + max(map(len, outs)) + len(sep)
+    assert len(stdout.writes) <= len(expected) // cli.BATCH + 3
+
+
+def test_a_closed_pipe_ends_an_unbuffered_corpus_run_quietly(tmp_path, capsys):
+    # past two batches, so a write still finds the pipe closed; unbuffered,
+    # each batch is one write to the pipe
+    corpus = tmp_path / "long.syl"
+    corpus.write_text((REPEATS + "\n") * 60)
+    argv = ["trace", "--format", "json", "--corpus", str(corpus)]
+    assert len(run(capsys, *argv)[1].encode()) > 128 * 1024
+    assert close_after_first_line(argv, cli_env(unbuffered=True)) == (b"[\n", 141, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("check",), ("trace", "--format", "json"), ("trace", "--format", "dot")],
+    ids=["check", "trace-json", "trace-dot"],
+)
+def test_corpus_output_does_not_depend_on_stdout_buffering(tmp_path, argv):
+    corpus = tmp_path / "long.syl"
+    corpus.write_text((REPEATS + "\n") * 600)
+    results = [
+        subprocess.run(
+            [sys.executable, "-m", "syllogist.cli", *argv, "--corpus", str(corpus)],
+            capture_output=True,
+            env=cli_env(unbuffered),
+            timeout=60,
+        )
+        for unbuffered in (True, False)
+    ]
+    unbuffered, buffered = ((r.stdout, r.stderr, r.returncode) for r in results)
+    assert unbuffered == buffered
+    assert buffered[1:] == (b"", 1)
+    assert len(buffered[0]) > cli.BATCH
 
 
 def test_corpus_labels_each_distinct_syllogism_once(tmp_path, capsys, monkeypatch):
@@ -612,7 +669,39 @@ def test_corpus_json_encodes_each_distinct_entry_once(tmp_path, capsys, monkeypa
     code, out, _ = run(capsys, "trace", "--format", "json", "--corpus", str(corpus))
     assert code == 1
     assert out.count('"input"') == 8
-    assert len(calls) == 4
+    # an entry is encoded with a null trace, and each distinct trace once on its own
+    assert len([obj for obj in calls if "input" in obj]) == 4
+    assert len([obj for obj in calls if "initial" in obj]) == 4
+    assert len(calls) == 8
+
+
+def test_corpus_json_encodes_a_shared_trace_once(tmp_path, capsys, monkeypatch):
+    # the four moods have one premiss chain, so one reduction; only AAA-1 is valid
+    corpus = tmp_path / "shared.syl"
+    corpus.write_text("AAA-1\n\nAAI-1\n\nAAO-1\n\nAAE-1\n\n" * 3)
+    calls = count_calls(monkeypatch, inference.Trace, "as_dict")
+    code, out, _ = run(capsys, "trace", "--format", "json", "--corpus", str(corpus))
+    assert code == 1
+    assert out.count('"initial"') == 12
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "trace"])
+def test_every_syllogism_json_is_the_text_of_json_dumps(tmp_path, capsys, command):
+    # every reduction shape the table can hold, spliced into its entry or null
+    syllogisms = catalog.all_syllogisms()
+    assert len(syllogisms) == 1024
+    # one parse of the arguments: 1024 runs of main would mostly build parsers
+    args = cli.build_parser().parse_args([command, "--format", "json", "AAA-1"])
+    for s in syllogisms:
+        args.notation = str(s)
+        args.func(args)
+        assert capsys.readouterr().out == json.dumps(json_entry(command, s, str(s)), indent=2) + "\n"
+    corpus = tmp_path / "all.syl"
+    corpus.write_text("\n\n".join(map(str, syllogisms)))
+    entries = [json_entry(command, s, str(s)) for s in syllogisms]
+    out = run(capsys, command, "--format", "json", "--corpus", str(corpus))[1]
+    assert out == json.dumps(entries, indent=2) + "\n"
 
 
 # --- parse ------------------------------------------------------------------
