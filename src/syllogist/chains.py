@@ -55,9 +55,11 @@ class _Value:
     A subclass lists its own fields in ``__slots__``, in order.  Its
     fields, ``_names``, are its base class's, then those slots, found once
     when the class is made, so a subclass that declares ``__slots__ = ()``
-    keeps its base's fields.  Its ``__init__``, whose parameters are those
-    fields in that order, is one ``_set`` call: the one place that stores
-    fields, which then runs ``__post_init__``, the one check hook.
+    keeps its base's fields.  Beside them, ``_setters`` holds each field's
+    slot descriptor setter, found at the same time.  Its ``__init__``, whose
+    parameters are those fields in that order, is one ``_set`` call: the
+    one place that stores fields, through those setters, which then runs
+    ``__post_init__``, the one check hook.
     Equality and hashing go by class and field values, ``repr`` reads
     ``Name(field=value, ...)``, and copying and pickling rebuild the value
     through its constructor, so its checks run again.  No subclass
@@ -68,14 +70,17 @@ class _Value:
 
     __slots__ = ()
     _names: tuple[str, ...] = ()
+    _setters: tuple = ()
 
     def __init_subclass__(cls) -> None:
-        cls._names += tuple(cls.__dict__.get("__slots__", ()))
+        slots = tuple(cls.__dict__.get("__slots__", ()))
+        cls._names += slots
+        # a slot's descriptor stores without the name lookup of ``object.__setattr__``
+        cls._setters += tuple(cls.__dict__[name].__set__ for name in slots)
 
     def _set(self, *values: object) -> None:
-        store = object.__setattr__  # found once: finding it costs more than a call
-        for name, value in zip(self._names, values):
-            store(self, name, value)
+        for store, value in zip(self._setters, values):
+            store(self, value)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -279,17 +284,22 @@ class Chain(_Value):
         )
 
 
-def diagram(p: Proposition) -> Chain:
-    """The canonical chain of a proposition, subject leftmost."""
+def _diagram(p: Proposition) -> tuple[tuple[Node, ...], tuple[Arrow, ...]]:
+    """The nodes and arrows of ``p``'s canonical chain, subject leftmost."""
     left, right = p.subject, p.predicate
     r, l = Arrow.RIGHT, Arrow.LEFT
     if p.kind is PropKind.A:
-        return Chain._of((left, right), (r,))
+        return (left, right), (r,)
     if p.kind is PropKind.E:
-        return Chain._of((left, BULLET, right), (r, l))
+        return (left, BULLET, right), (r, l)
     if p.kind is PropKind.I:
-        return Chain._of((left, BULLET, right), (l, r))
-    return Chain._of((left, BULLET, BULLET, right), (l, r, l))
+        return (left, BULLET, right), (l, r)
+    return (left, BULLET, BULLET, right), (l, r, l)
+
+
+def diagram(p: Proposition) -> Chain:
+    """The canonical chain of a proposition, subject leftmost."""
+    return Chain._of(*_diagram(p))
 
 
 def concat(left: Chain, right: Chain) -> Chain:

@@ -24,7 +24,11 @@ and 192 spliced ones, read through ``_reduction(s, term)``: the one
 accessor of a dict keyed by those fields.  A bare miss builds
 ``premiss_chain(s)``, and a spliced miss splices the bare entry's initial
 chain, so each of the 64 premiss chains is built once.  A ``Trace`` is
-immutable, so every verdict may share one.
+immutable, so every verdict may share one.  A verdict is immutable too,
+so the verdicts without a trace are five shared values, built and checked
+once at import: invalid, valid, and valid under each of the three
+assumptions.  ``decide`` returns the invalid one, and only a verdict that
+holds a trace is built per call.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ from .chains import (
     PropKind,
     Proposition,
     TermId,
+    _diagram,
     _Value,
     chain_along,
-    diagram,
     is_term,
     splice_existence,
 )
@@ -88,9 +92,14 @@ class Mood(_Value):
         self._set(first, second, conclusion)
 
     def __post_init__(self) -> None:
-        for kind in (self.first, self.second, self.conclusion):
-            if not isinstance(kind, PropKind):
-                raise ValueError(f"a mood's letters are PropKinds, got {kind!r}")
+        first, second, conclusion = self.first, self.second, self.conclusion
+        if not (
+            isinstance(first, PropKind)
+            and isinstance(second, PropKind)
+            and isinstance(conclusion, PropKind)
+        ):
+            bad = next(k for k in (first, second, conclusion) if not isinstance(k, PropKind))
+            raise ValueError(f"a mood's letters are PropKinds, got {bad!r}")
 
     @classmethod
     def from_text(cls, letters: str) -> "Mood":
@@ -100,6 +109,19 @@ class Mood(_Value):
 
     def __str__(self) -> str:
         return self.first.value + self.second.value + self.conclusion.value
+
+
+def _raise_type_error(value: _Value, what: str, types: tuple) -> None:
+    """Name the first of ``value``'s fields that is not an instance of its entry in ``types``.
+
+    A check hook tests every field in one expression and calls this only
+    when that fails, so the loop runs only to word the error.
+    """
+    for name, cls in zip(value._names, types):
+        field = getattr(value, name)
+        if not isinstance(field, cls):
+            expected = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+            raise ValueError(f"a {what}'s {name} is of type {expected}, got {field!r}")
 
 
 class Assumption(Enum):
@@ -114,7 +136,8 @@ class Assumption(Enum):
 
     @property
     def term(self) -> TermId | None:
-        return None if self is Assumption.NONE else self.value
+        # ``_value_`` is the member's value without the ``value`` property's Python-level call
+        return None if self is Assumption.NONE else self._value_
 
     @property
     def phrase(self) -> str | None:
@@ -132,10 +155,12 @@ class Syllogism(_Value):
         self._set(mood, figure, assumption)
 
     def __post_init__(self) -> None:
-        for name, cls in zip(self._names, (Mood, Figure, Assumption)):
-            value = getattr(self, name)
-            if not isinstance(value, cls):
-                raise ValueError(f"a syllogism's {name} is of type {cls.__name__}, got {value!r}")
+        if not (
+            isinstance(self.mood, Mood)
+            and isinstance(self.figure, Figure)
+            and isinstance(self.assumption, Assumption)
+        ):
+            _raise_type_error(self, "syllogism", (Mood, Figure, Assumption))
 
     def __str__(self) -> str:
         text = f"{self.mood}-{self.figure.value}"
@@ -196,8 +221,9 @@ class Validity(Enum):
 class Verdict(_Value):
     """Outcome of deciding a syllogism, with the witnessing trace if any.
 
-    A verdict names an assumption exactly when its validity is
-    ``VALID_WITH_ASSUMPTION``; any other combination raises ``ValueError``.
+    Its fields are a ``Validity``, an ``Assumption`` and a ``Trace`` or
+    None, and it names an assumption exactly when its validity is
+    ``VALID_WITH_ASSUMPTION``; anything else raises ``ValueError``.
     """
 
     __slots__ = ("validity", "assumption", "trace")
@@ -211,6 +237,13 @@ class Verdict(_Value):
         self._set(validity, assumption, trace)
 
     def __post_init__(self) -> None:
+        trace = self.trace
+        if not (
+            isinstance(self.validity, Validity)
+            and isinstance(self.assumption, Assumption)
+            and (trace is None or isinstance(trace, Trace))
+        ):
+            _raise_type_error(self, "verdict", (Validity, Assumption, (Trace, type(None))))
         conditional = self.validity is Validity.VALID_WITH_ASSUMPTION
         if conditional == (self.assumption is Assumption.NONE):
             raise ValueError(
@@ -226,6 +259,16 @@ class Verdict(_Value):
         if self.validity is Validity.VALID_WITH_ASSUMPTION:
             return f"valid +{self.assumption.value}"
         return self.validity.value
+
+
+# The five verdicts without a trace, built once through ``Verdict`` so their
+# checks run; every trace-less verdict of ``decide`` and ``semantic_verdict``
+# is one of these.  They are fixed constants, not a cache: they never grow.
+_INVALID = Verdict(Validity.INVALID)
+_VALID = Verdict(Validity.VALID)
+_VALID_ASSUMING = {
+    a: Verdict(Validity.VALID_WITH_ASSUMPTION, a) for a in Assumption if a is not Assumption.NONE
+}
 
 
 def _reducible(chain: Chain, i: int) -> bool:
@@ -268,9 +311,12 @@ def normalize(chain: Chain) -> Trace:
 
 
 def match_conclusion(chain: Chain, conclusion: Proposition) -> bool:
-    """Exact match against the conclusion's diagram, node for node, as tuples."""
-    goal = diagram(conclusion)
-    return chain.nodes == goal.nodes and chain.arrows == goal.arrows
+    """Exact match against the conclusion's diagram, node for node, as tuples.
+
+    The diagram's tuples are compared as they come, with no ``Chain`` built.
+    """
+    nodes, arrows = _diagram(conclusion)
+    return chain.nodes == nodes and chain.arrows == arrows
 
 
 def figure_of(first: tuple[TermId, TermId], second: tuple[TermId, TermId]) -> Figure:
@@ -334,15 +380,16 @@ def decide(s: Syllogism) -> Verdict:
     Neither reduction depends on the conclusion, so both come from
     ``_reduction(s, term)``, the process-wide table keyed by the premiss
     kinds, the figure and the assumed term.  A verdict's trace is that
-    table's immutable entry, shared by every syllogism with the same key.
+    table's immutable entry, shared by every syllogism with the same key,
+    and an invalid verdict is the shared ``_INVALID``.
     """
     goal = conclusion_of(s)
     trace = _reduction(s, None)
     if match_conclusion(trace.normal_form, goal):
         return Verdict(Validity.VALID, trace=trace)
-    term = s.assumption.term
-    if term is not None:
-        candidate = _reduction(s, term)
+    assumption = s.assumption
+    if assumption is not Assumption.NONE:
+        candidate = _reduction(s, assumption._value_)
         if match_conclusion(candidate.normal_form, goal):
-            return Verdict(Validity.VALID_WITH_ASSUMPTION, s.assumption, candidate)
-    return Verdict(Validity.INVALID)
+            return Verdict(Validity.VALID_WITH_ASSUMPTION, assumption, candidate)
+    return _INVALID

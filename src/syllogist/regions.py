@@ -25,8 +25,10 @@ from .inference import (
     MAJOR,
     MIDDLE,
     MINOR,
+    _INVALID,
+    _VALID,
+    _VALID_ASSUMING,
     Syllogism,
-    Validity,
     Verdict,
     assumption_proposition,
     conclusion_of,
@@ -221,14 +223,15 @@ def semantic_verdict(s: Syllogism) -> Verdict:
 
     Valid means valid with no assumption at all; a conditional verdict is
     returned only when the bare syllogism fails but the stated assumption
-    rescues it.
+    rescues it.  Every verdict it returns is one of the shared trace-less
+    verdicts of ``inference``.
     """
     premisses = premisses_of(s)
     goal = conclusion_of(s)
     space = space_for((MINOR, MIDDLE, MAJOR))
     if space.entails(premisses, goal):
-        return Verdict(Validity.VALID)
+        return _VALID
     existence = assumption_proposition(s)
     if existence is not None and space.entails(premisses, goal, (existence,)):
-        return Verdict(Validity.VALID_WITH_ASSUMPTION, s.assumption)
-    return Verdict(Validity.INVALID)
+        return _VALID_ASSUMING[s.assumption]
+    return _INVALID

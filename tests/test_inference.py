@@ -1,12 +1,15 @@
 """Reduction, normal forms, premiss chains, and the decision procedure."""
 
 import json
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given
 
 from syllogist import (
     Assumption,
+    Chain,
     Figure,
     Mood,
     NotReducible,
@@ -18,6 +21,7 @@ from syllogist import (
     all_syllogisms,
     conclusion_of,
     decide,
+    diagram,
     enumerate_all,
     match_conclusion,
     normalize,
@@ -363,6 +367,51 @@ def test_verdict_names_an_assumption_exactly_when_conditional():
                 Verdict(validity, assumption)
     with pytest.raises(ValueError):
         Verdict(Validity.VALID_WITH_ASSUMPTION)
+
+
+def test_verdict_checks_its_field_types():
+    # unchecked, the first two were accepted and their summary() raised AttributeError
+    with pytest.raises(ValueError, match="a verdict's validity is of type Validity, got 'valid'"):
+        Verdict("valid")
+    with pytest.raises(ValueError, match="assumption is of type Assumption, got 'S'"):
+        Verdict(Validity.VALID_WITH_ASSUMPTION, "S")
+    with pytest.raises(ValueError, match="trace is of type Trace or NoneType, got 'x'"):
+        Verdict(Validity.VALID, trace="x")
+
+
+def test_a_full_table_builds_only_the_verdicts_that_hold_a_trace(monkeypatch):
+    # every trace-less verdict is one of the five shared ones, and a
+    # conclusion is matched on tuples: with the table full, the parent
+    # code built 2 048 verdicts and 1 747 chains here
+    enumerate_all()
+    built = []
+    init = Verdict.__init__
+
+    def counting_init(self, validity, *args, **kwargs):
+        built.append((validity, sys._getframe(1).f_code.co_name))
+        init(self, validity, *args, **kwargs)
+
+    monkeypatch.setattr(Verdict, "__init__", counting_init)
+    chains_built = count_calls(monkeypatch, Chain, "_of")
+    shared = (inference._INVALID, inference._VALID, *inference._VALID_ASSUMING.values())
+    rows = enumerate_all()
+    assert Counter(built) == {
+        (Validity.VALID, "decide"): 60, (Validity.VALID_WITH_ASSUMPTION, "decide"): 9
+    }
+    assert chains_built == []
+    for row in rows:
+        for verdict in (row.calculus, row.oracle):
+            if verdict.trace is None:
+                assert any(verdict is v for v in shared), row
+                assert verdict == Verdict(verdict.validity, verdict.assumption)
+
+
+@pytest.mark.parametrize("pair", [("S", "P"), ("P", "S"), ("A", "A")], ids="".join)
+def test_a_diagram_matches_its_own_proposition_only(pair):
+    for kind in PropKind:
+        chain = diagram(Proposition(kind, *pair))
+        for other in PropKind:
+            assert match_conclusion(chain, Proposition(other, *pair)) == (other is kind)
 
 
 def test_splice_at_the_junction_threads_the_import_through():

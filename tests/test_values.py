@@ -34,6 +34,7 @@ from syllogist import (
     parse_proposition,
     premiss_chain,
 )
+from syllogist import inference
 from syllogist.chains import _Value
 
 A, E = PropKind.A, PropKind.E
@@ -193,6 +194,18 @@ class NamedSyllogism(Syllogism):
     """A subclass that declares no field of its own: it keeps its base's."""
 
     __slots__ = ()
+
+
+@pytest.mark.parametrize(
+    "verdict",
+    [inference._INVALID, inference._VALID, *inference._VALID_ASSUMING.values()],
+    ids=Verdict.summary,
+)
+def test_the_shared_verdicts_round_trip(verdict):
+    for clone in clones(verdict):
+        assert type(clone) is Verdict
+        assert clone == verdict
+        assert hash(clone) == hash(verdict)
 
 
 def test_a_subclass_with_empty_slots_keeps_and_checks_its_fields():
