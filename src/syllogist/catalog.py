@@ -202,7 +202,7 @@ def mutually_excluded(chain: Chain, x: TermId, y: TermId) -> bool:
         raise TermNotInChain(f"term {y!r} has no occurrence in {chain} apart from {x!r}")
     return any(
         match_conclusion(
-            normalize(Chain._of(chain.nodes[lo : hi + 1], chain.arrows[lo:hi])).normal_form,
+            normalize(Chain(chain.nodes[lo : hi + 1], chain.arrows[lo:hi])).normal_form,
             Proposition(PropKind.E, chain.nodes[lo], chain.nodes[hi]),
         )
         for lo, hi in stretches

@@ -21,12 +21,12 @@ can be shared freely across threads.  The package's value classes share
 one small base, ``_Value``, rather than ``dataclasses``, so importing the
 package stays cheap.
 
-Values are checked where they enter: the public ``Chain`` constructor,
-``chain_from_text`` and ``Proposition`` validate every term name, the
-arrow count and the kind, and ``chain_along`` its start term.  Derived
-chains (diagrams, duals, concatenations, splices and reduction steps) are
-assembled from parts of values that were already checked, so they skip
-that validation.
+Every chain is checked by its constructor, ``Chain(nodes, arrows)``:
+its term names, its bullets and arrows, and its arrow count.  Each
+operation here and in the other modules builds its result through that
+constructor, so a derived chain (a diagram, dual, concatenation, splice
+or reduction step) is checked as a chain from input is.  ``Proposition``
+checks its kind and term names, and ``chain_along`` its start term.
 """
 
 from __future__ import annotations
@@ -57,9 +57,10 @@ class _Value:
     when the class is made, so a subclass that declares ``__slots__ = ()``
     keeps its base's fields.  Beside them, ``_setters`` holds each field's
     slot descriptor setter, found at the same time.  Its ``__init__``, whose
-    parameters are those fields in that order, is one ``_set`` call: the
-    one place that stores fields, through those setters, which then runs
-    ``__post_init__``, the one check hook.
+    parameters are those fields in that order, is one ``_set`` call.
+    ``_set`` is the one store: no other code in the package sets a field,
+    and it runs ``__post_init__``, the one check hook, on every value
+    built, derived values included.
     Equality and hashing go by class and field values, ``repr`` reads
     ``Name(field=value, ...)``, and copying and pickling rebuild the value
     through its constructor, so its checks run again.  No subclass
@@ -75,7 +76,7 @@ class _Value:
     def __init_subclass__(cls) -> None:
         slots = tuple(cls.__dict__.get("__slots__", ()))
         cls._names += slots
-        # a slot's descriptor stores without the name lookup of ``object.__setattr__``
+        # a slot's descriptor stores without the name lookup of a generic setattr
         cls._setters += tuple(cls.__dict__[name].__set__ for name in slots)
 
     def _set(self, *values: object) -> None:
@@ -222,33 +223,18 @@ class Chain(_Value):
         self._set(tuple(nodes), tuple(arrows))
 
     def __post_init__(self) -> None:
-        if not self.nodes:
+        nodes, arrows = self.nodes, self.arrows
+        if not nodes:
             raise ChainError("a chain has at least one node")
-        if len(self.arrows) != len(self.nodes) - 1:
-            raise ChainError(
-                f"{len(self.nodes)} nodes need {len(self.nodes) - 1} arrows, "
-                f"got {len(self.arrows)}"
-            )
-        for node in self.nodes:
-            if not is_bullet(node):
+        if len(arrows) != len(nodes) - 1:
+            raise ChainError(f"{len(nodes)} nodes need {len(nodes) - 1} arrows, got {len(arrows)}")
+        for node in nodes:
+            if node is not BULLET:
                 _check_term(node)
-        for arrow in self.arrows:
-            if not isinstance(arrow, Arrow):
+        for arrow in arrows:
+            # ``Arrow`` has members, so it has no subclasses
+            if arrow.__class__ is not Arrow:
                 raise ChainError(f"not an arrow: {arrow!r}")
-
-    @classmethod
-    def _of(cls, nodes: tuple[Node, ...], arrows: tuple[Arrow, ...]) -> "Chain":
-        """Build a chain from parts already checked, skipping ``__post_init__``.
-
-        Callers pass only tuples made by slicing, reversing, joining or
-        inserting into the nodes and arrows of checked chains or the terms
-        of checked ``Proposition``s, plus ``BULLET`` and ``Arrow`` members,
-        and they keep the arrow count at ``len(nodes) - 1``.
-        """
-        chain = object.__new__(cls)
-        object.__setattr__(chain, "nodes", nodes)
-        object.__setattr__(chain, "arrows", arrows)
-        return chain
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -278,10 +264,7 @@ class Chain(_Value):
 
     def dual(self) -> "Chain":
         """The mirror image: reversed node order with every arrow flipped."""
-        return Chain._of(
-            self.nodes[::-1],
-            tuple(a.flipped for a in reversed(self.arrows)),
-        )
+        return Chain(self.nodes[::-1], tuple(a.flipped for a in reversed(self.arrows)))
 
 
 def _diagram(p: Proposition) -> tuple[tuple[Node, ...], tuple[Arrow, ...]]:
@@ -299,7 +282,7 @@ def _diagram(p: Proposition) -> tuple[tuple[Node, ...], tuple[Arrow, ...]]:
 
 def diagram(p: Proposition) -> Chain:
     """The canonical chain of a proposition, subject leftmost."""
-    return Chain._of(*_diagram(p))
+    return Chain(*_diagram(p))
 
 
 def concat(left: Chain, right: Chain) -> Chain:
@@ -314,7 +297,7 @@ def concat(left: Chain, right: Chain) -> Chain:
         raise JunctionMismatch(
             f"cannot join {left.right!r} on the left to {right.left!r} on the right"
         )
-    return Chain._of(left.nodes + right.nodes[1:], left.arrows + right.arrows)
+    return Chain(left.nodes + right.nodes[1:], left.arrows + right.arrows)
 
 
 def _oriented(p: Proposition, end: TermId) -> Chain:
@@ -338,7 +321,7 @@ def chain_along(start: TermId, premisses: Iterable[Proposition]) -> Chain:
     premisses = iter(premisses)
     first = next(premisses, None)
     if first is None:
-        return Chain._of((start,), ())
+        return Chain((start,), ())
     chain = _oriented(first, start)
     for p in premisses:
         chain = concat(chain, _oriented(p, chain.right))
@@ -357,11 +340,9 @@ def splice_existence(chain: Chain, term: TermId, occurrence: int = 0) -> Chain:
     if type(occurrence) is not int or not 0 <= occurrence < len(spots):
         raise NoSuchOccurrence(f"occurrence {occurrence!r} of term {term!r} not found in {chain}")
     i = spots[occurrence]
-    # the chain's own node, not the caller's ``term``, so nothing unchecked gets in
-    node = chain.nodes[i]
-    nodes = chain.nodes[:i] + (node, BULLET, node) + chain.nodes[i + 1 :]
+    nodes = chain.nodes[:i] + (chain.nodes[i], BULLET) + chain.nodes[i:]
     arrows = chain.arrows[:i] + (Arrow.LEFT, Arrow.RIGHT) + chain.arrows[i:]
-    return Chain._of(nodes, arrows)
+    return Chain(nodes, arrows)
 
 
 def chain_from_text(text: str) -> Chain:

@@ -6,8 +6,15 @@ machine-readable objects with stable keys, and ``--format dot`` renders a
 reduction as a two-row directed graph.  Exit codes: 0 when everything
 checked out valid, 1 when some syllogism is invalid, a ``tables`` row's
 two verdicts disagree, a law fails or a count misses 3n^2-n (in either
-format), 2 on parse or usage errors, and 141, with nothing on stderr, when
+format), 2 on input or usage errors, and 141, with nothing on stderr, when
 the output pipe closes early (as for a writer ended by SIGPIPE).
+
+Errors leave through ``main``, the one place that prints ``error:``.  In
+this package a ``ValueError`` is an input error: a ``NotationError``, a
+``ChainError``, an ``UnsupportedN`` or a corpus that is not UTF-8 (a
+``UnicodeDecodeError``).  No command catches one; ``main`` prints it with
+the error's span in characters when it has one, as it prints an
+``OSError`` such as a missing corpus file, and exits 2.
 
 ``check``, ``trace`` and ``parse`` share one report path.  ``check``
 prints a verdict line, ``trace`` the reduction and ``parse`` the canonical
@@ -41,8 +48,7 @@ conclusion and the input's label, so it is built once per distinct syllogism.
 A process imports what its command runs: the parser (``notation``) only
 for ``check``, ``trace`` and ``parse``, the catalog and the oracle only
 for ``tables``, ``laws`` and ``count``, ``json`` only for ``--format
-json``.  So ``import syllogist.cli`` loads the calculus and no parser, and
-a ``NotationError`` is caught where the report path parses.
+json``.  So ``import syllogist.cli`` loads the calculus and no parser.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ import argparse
 import os
 import sys
 
-from .chains import ChainError, is_bullet
+from .chains import is_bullet
 from .inference import (
     Assumption,
     Figure,
@@ -182,12 +188,7 @@ def cmd_report(args) -> int:
     before the first report is printed, so a parse error prints nothing
     else.
     """
-    from .notation import NotationError
-
-    try:
-        inputs = _load_inputs(args)
-    except NotationError as err:
-        return _fail(err, f" (chars {err.span.start}..{err.span.end})" if err.span else "")
+    inputs = _load_inputs(args)
     status = 0
     json_list = args.format == "json" and args.corpus is not None
     # json.dumps(entries, indent=2), joined as each entry is reached
@@ -299,12 +300,9 @@ def cmd_laws(args) -> int:
 
 
 def cmd_count(args) -> int:
-    from .catalog import UnsupportedN, count_valid_nterm
+    from .catalog import count_valid_nterm
 
-    try:
-        count = count_valid_nterm(args.n)
-    except UnsupportedN as err:
-        return _fail(err)
+    count = count_valid_nterm(args.n)
     formula = 3 * args.n * args.n - args.n
     verdict = "match" if count == formula else "MISMATCH"
     if args.format == "json":
@@ -349,11 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(err: Exception, where: str = "") -> int:
-    print(f"error: {err}{where}", file=sys.stderr)
-    return 2
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -365,8 +358,11 @@ def main(argv=None) -> int:
         # send what is still buffered to devnull; exit as SIGPIPE would
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ChainError, OSError, UnicodeDecodeError) as err:
-        return _fail(err)
+    except (ValueError, OSError) as err:
+        span = getattr(err, "span", None)
+        where = f" (chars {span.start}..{span.end})" if span else ""
+        print(f"error: {err}{where}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

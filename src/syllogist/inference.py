@@ -288,7 +288,7 @@ def reduce_at(chain: Chain, position: int) -> Chain:
         raise NotReducible(f"node {position} of {chain} is not reducible")
     nodes = chain.nodes[:position] + chain.nodes[position + 1 :]
     arrows = chain.arrows[:position] + chain.arrows[position + 1 :]
-    return Chain._of(nodes, arrows)
+    return Chain(nodes, arrows)
 
 
 def normalize(chain: Chain) -> Trace:

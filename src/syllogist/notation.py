@@ -56,8 +56,10 @@ class SourceSpan(_Value):
         self._set(start, end)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.start <= self.end:
-            raise ValueError(f"bad span {self.start}..{self.end}")
+        start, end = self.start, self.end
+        # ints proper: a bool or a float is no offset, and a str does not compare with 0
+        if not (type(start) is int and type(end) is int and 0 <= start <= end):
+            raise ValueError(f"bad span {start!r}..{end!r}")
 
 
 class NotationError(ValueError):

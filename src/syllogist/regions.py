@@ -20,7 +20,7 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import chain
 
-from .chains import PropKind, Proposition, TermId, _Value
+from .chains import PropKind, Proposition, TermId, _check_term, _Value
 from .inference import (
     MAJOR,
     MIDDLE,
@@ -50,10 +50,13 @@ class TooManyTerms(ValueError):
 
 
 def _check_terms(terms: tuple[TermId, ...], cap: int) -> None:
+    """The one check of a term list: its length, then duplicates, then each name."""
     if len(terms) > cap:
         raise TooManyTerms(f"at most {cap} terms, got {len(terms)}")
     if len(set(terms)) != len(terms):
         raise ValueError(f"duplicate terms in {terms!r}")
+    for name in terms:
+        _check_term(name)
 
 
 def _term_index(terms: tuple[TermId, ...], name: TermId) -> int:
@@ -86,7 +89,8 @@ class RegionModel(_Value):
 
     def __post_init__(self) -> None:
         _check_terms(self.terms, MAX_VENN_TERMS)  # before the range check builds a 2^k-bit bound
-        if not isinstance(self.inhabited, int):
+        # an int proper: a bool is no mask
+        if type(self.inhabited) is not int:
             raise ValueError(f"an inhabitation mask is an int, got {self.inhabited!r}")
         n_atoms = 1 << len(self.terms)
         if not 0 <= self.inhabited < (1 << n_atoms):
@@ -122,12 +126,12 @@ def _atom_vector(bit: int, size: int) -> int:
 class VennSpace:
     """A term space, and closed-form entailment over its 2^k atoms: the Venn method.
 
-    The space holds the term tuple, free of duplicates and within the
-    class's cap, and one dict, ``_cache``, of what the space has worked out
-    per proposition, keyed by ``(kind, subject, predicate)``, a tuple that
-    hashes in C.  ``VennSpace`` stores each proposition's ``(particular?,
-    region mask)`` there.  A region mask has 2^k bits, so k is capped at
-    ``MAX_VENN_TERMS``.
+    The space holds the term tuple, within the class's cap, free of
+    duplicates and each a valid term name, and one dict, ``_cache``, of
+    what the space has worked out per proposition, keyed by ``(kind,
+    subject, predicate)``, a tuple that hashes in C.  ``VennSpace`` stores
+    each proposition's ``(particular?, region mask)`` there.  A region mask
+    has 2^k bits, so k is capped at ``MAX_VENN_TERMS``.
 
     Premisses, assumptions and the negated conclusion hold together exactly
     when each particular one's region keeps an atom that no universal one

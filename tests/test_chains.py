@@ -316,7 +316,7 @@ def test_whitespace_anywhere_in_a_term_is_rejected():
                 Chain((name,), ())
 
 
-# --- derived chains skip validation -----------------------------------------
+# --- derived chains are checked as built ------------------------------------
 
 def assert_as_if_validated(out):
     """A derived chain is exactly what the validating constructor builds."""

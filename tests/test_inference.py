@@ -19,11 +19,14 @@ from syllogist import (
     Validity,
     Verdict,
     all_syllogisms,
+    chain_along,
+    concat,
     conclusion_of,
     decide,
     diagram,
     enumerate_all,
     match_conclusion,
+    mutually_excluded,
     normalize,
     premiss_chain,
     premisses_of,
@@ -392,7 +395,7 @@ def test_a_full_table_builds_only_the_verdicts_that_hold_a_trace(monkeypatch):
         init(self, validity, *args, **kwargs)
 
     monkeypatch.setattr(Verdict, "__init__", counting_init)
-    chains_built = count_calls(monkeypatch, Chain, "_of")
+    chains_built = count_calls(monkeypatch, Chain, "__init__")
     shared = (inference._INVALID, inference._VALID, *inference._VALID_ASSUMING.values())
     rows = enumerate_all()
     assert Counter(built) == {
@@ -404,6 +407,40 @@ def test_a_full_table_builds_only_the_verdicts_that_hold_a_trace(monkeypatch):
             if verdict.trace is None:
                 assert any(verdict is v for v in shared), row
                 assert verdict == Verdict(verdict.validity, verdict.assumption)
+
+
+class Checked(Exception):
+    """Raised by a patched ``Chain.__post_init__``: the chain went through its checks."""
+
+
+def _refuse(chain):
+    raise Checked(chain.nodes)
+
+
+# each builder and its arguments, built before ``Chain.__post_init__`` is patched
+_BUILDERS = {
+    "diagram": (diagram, prop("E", "S", "P")),
+    "dual": (Chain.dual, ch("S -> * <- P")),
+    "concat": (concat, ch("S -> M"), ch("M -> P")),
+    "chain_along-one-node": (chain_along, "S", ()),
+    "chain_along": (chain_along, "P", (prop("A", "S", "P"),)),
+    "splice_existence": (splice_existence, ch("S -> M -> P"), "M"),
+    "reduce_at": (reduce_at, ch("S -> M -> P"), 1),
+    "normalize": (normalize, ch("S -> M -> P")),
+    "premiss_chain": (premiss_chain, syl("AAA-1")),
+    "decide-cold": (decide, syl("EIO-2 +S")),
+    "mutually_excluded": (mutually_excluded, ch("S -> * <- P"), "S", "P"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BUILDERS))
+def test_every_builder_builds_its_chains_through_the_checks(monkeypatch, name):
+    # no builder has a way round ``Chain(...)``: with the check refusing, each raises
+    build, *args = _BUILDERS[name]
+    monkeypatch.setattr(inference, "_reductions", {})
+    monkeypatch.setattr(Chain, "__post_init__", _refuse)
+    with pytest.raises(Checked):
+        build(*args)
 
 
 @pytest.mark.parametrize("pair", [("S", "P"), ("P", "S"), ("A", "A")], ids="".join)

@@ -332,8 +332,9 @@ def test_parse_corpus_span_after_a_leading_comment():
 
 
 def test_a_span_runs_forward_from_zero():
-    for start, end in ((3, 1), (-1, 2)):
-        with pytest.raises(ValueError, match=f"bad span {start}..{end}"):
+    # ints proper: a bool, a float or a str is no offset
+    for start, end in ((3, 1), (-1, 2), (0.5, 1.5), (False, True), (0, True), ("a", "b")):
+        with pytest.raises(ValueError, match=re.escape(f"bad span {start!r}..{end!r}")):
             SourceSpan(start, end)
 
 

@@ -143,11 +143,32 @@ def test_region_model_checks_its_terms_and_mask():
         RegionModel(terms, 0)
     with pytest.raises(ValueError, match="duplicate"):
         RegionModel(("A", "B", "A"), 0)
-    for mask in (1.5, "1", None):
+    # the cap and duplicates come before each term
+    with pytest.raises(TooManyTerms):
+        RegionModel(("",) + terms[:-1], 0)
+    with pytest.raises(ValueError, match="duplicate"):
+        RegionModel(("", ""), 0)
+    with pytest.raises(ValueError, match="non-empty strings, got 3"):
+        RegionModel(("A", 3), 1)
+    for mask in (1.5, "1", None, True):
         with pytest.raises(ValueError, match="an inhabitation mask is an int"):
             RegionModel(AB, mask)
     with pytest.raises(ValueError, match="out of range"):
         RegionModel(AB, 16)
+
+
+def test_a_venn_space_checks_each_term():
+    with pytest.raises(ValueError, match="non-empty strings, got ''"):
+        VennSpace(("S", "", "*"))
+    with pytest.raises(ValueError, match="'\\*' clashes with chain notation"):
+        VennSpace(("S", "*"))
+
+
+def test_a_model_space_checks_each_term():
+    with pytest.raises(ValueError, match="non-empty strings, got ''"):
+        space_for(("S", "", "*"))
+    with pytest.raises(ValueError, match="'->' clashes with chain notation"):
+        ModelSpace(("S", "->"))
 
 
 # --- entailment -------------------------------------------------------------
