@@ -245,7 +245,7 @@ def count_valid_nterm(n: int, with_assumptions: bool = True) -> int:
     conclusions = [Proposition(kind, terms[0], terms[-1]) for kind in PropKind]
     existence = tuple(Proposition(PropKind.I, t, t) for t in terms) if with_assumptions else ()
     return sum(
-        space.entails(premisses, conclusion, existence)
+        space.entails(premisses + existence, conclusion)
         for premisses in product(*slots)
         for conclusion in conclusions
     )

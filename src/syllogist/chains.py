@@ -140,7 +140,7 @@ def is_term(node: object) -> bool:
 def _check_term(name: object) -> None:
     if not isinstance(name, str) or not name:
         raise ChainError(f"term identifiers are non-empty strings, got {name!r}")
-    if name.split() != [name] or name in ("*", "->", "<-"):
+    if name.split() != [name] or name in _TOKENS:
         # must survive the whitespace-separated text rendering
         raise ChainError(f"term identifier {name!r} clashes with chain notation")
 
@@ -158,6 +158,10 @@ class Arrow(Enum):
     @property
     def flipped(self) -> "Arrow":
         return Arrow.LEFT if self is Arrow.RIGHT else Arrow.RIGHT
+
+
+# the chain notation's own tokens, each with the node or arrow it stands for
+_TOKENS = {"*": BULLET, **{a.value: a for a in Arrow}}
 
 
 class PropKind(Enum):
@@ -240,10 +244,10 @@ class Chain(_Value):
         return len(self.nodes)
 
     def __str__(self) -> str:
-        parts = ["*" if is_bullet(self.nodes[0]) else self.nodes[0]]
+        parts = [str(self.nodes[0])]
         for arrow, node in zip(self.arrows, self.nodes[1:]):
             parts.append(arrow.value)
-            parts.append("*" if is_bullet(node) else node)
+            parts.append(str(node))
         return " ".join(parts)
 
     @property
@@ -354,16 +358,9 @@ def chain_from_text(text: str) -> Chain:
     tokens = text.split()
     if not tokens or len(tokens) % 2 == 0:
         raise ChainError(f"not a chain rendering: {text!r}")
-    nodes = []
-    arrows = []
-    for k, token in enumerate(tokens):
-        if k % 2 == 0:
-            if token in ("->", "<-"):
-                raise ChainError(f"expected a node at token {k}, got {token!r}")
-            nodes.append(BULLET if token == "*" else token)
-        else:
-            try:
-                arrows.append(Arrow(token))
-            except ValueError:
-                raise ChainError(f"expected an arrow at token {k}, got {token!r}") from None
-    return Chain(tuple(nodes), tuple(arrows))
+    items = [_TOKENS.get(token, token) for token in tokens]
+    for k, item in enumerate(items):
+        if isinstance(item, Arrow) is not bool(k % 2):  # arrows at odd tokens, nodes at even
+            expected = "an arrow" if k % 2 else "a node"
+            raise ChainError(f"expected {expected} at token {k}, got {tokens[k]!r}")
+    return Chain(items[::2], items[1::2])

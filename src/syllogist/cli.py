@@ -57,7 +57,7 @@ import argparse
 import os
 import sys
 
-from .chains import is_bullet
+from .chains import Arrow, is_bullet
 from .inference import (
     Assumption,
     Figure,
@@ -100,7 +100,7 @@ def _dot_chain_lines(tag: str, title: str, chain) -> list[str]:
         else:
             lines.append(f'    {tag}{i} [label="{node}"];')
     for i, arrow in enumerate(chain.arrows):
-        if arrow.value == "->":
+        if arrow is Arrow.RIGHT:
             lines.append(f"    {tag}{i} -> {tag}{i + 1};")
         else:
             lines.append(f"    {tag}{i + 1} -> {tag}{i};")

@@ -5,20 +5,21 @@ Venn regions; a proposition's truth depends only on which atoms are
 inhabited.  The empty universe is one of the models, so no existential
 import is built in.  This module never looks at chains or reductions.
 
-Two oracles answer one query, ``.entails(premisses, conclusion,
-assumptions)``, over one term space: ``VennSpace(terms)``, the checked term
-tuple and one per-proposition cache.  ``VennSpace`` decides in closed form,
-so the n-term counts go further.  ``space_for(terms)``, a ``ModelSpace`` of
-``MAX_TERMS`` at most, keeps its own procedure for the tables and the check
-on ``VennSpace``: all 2^(2^k) models at once, a truth vector being an ``int``
-whose bit m is the truth in model m (Knuth, TAOCP 4A 7.1).
+Two oracles answer one query, ``.entails(premisses, conclusion)``, over one
+term space: ``VennSpace(terms)``, the checked term tuple and one
+per-proposition cache.  An existence assumption is one more premiss, *Some
+X is X*, as in the calculus it is one more diagram, ``X <- * -> X``.
+``VennSpace`` decides in closed form, so the n-term counts go further.
+``space_for(terms)``, a ``ModelSpace`` of ``MAX_TERMS`` at most, keeps its
+own procedure for the tables and the check on ``VennSpace``: all 2^(2^k)
+models at once, a truth vector being an ``int`` whose bit m is the truth in
+model m (Knuth, TAOCP 4A 7.1).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import chain
 
 from .chains import PropKind, Proposition, TermId, _check_term, _Value
 from .inference import (
@@ -50,13 +51,13 @@ class TooManyTerms(ValueError):
 
 
 def _check_terms(terms: tuple[TermId, ...], cap: int) -> None:
-    """The one check of a term list: its length, then duplicates, then each name."""
+    """The one check of a term list: its length, then each name, then duplicates."""
     if len(terms) > cap:
         raise TooManyTerms(f"at most {cap} terms, got {len(terms)}")
+    for name in terms:
+        _check_term(name)  # before the duplicate check hashes it
     if len(set(terms)) != len(terms):
         raise ValueError(f"duplicate terms in {terms!r}")
-    for name in terms:
-        _check_term(name)
 
 
 def _term_index(terms: tuple[TermId, ...], name: TermId) -> int:
@@ -133,9 +134,9 @@ class VennSpace:
     each proposition's ``(particular?, region mask)`` there.  A region mask
     has 2^k bits, so k is capped at ``MAX_VENN_TERMS``.
 
-    Premisses, assumptions and the negated conclusion hold together exactly
-    when each particular one's region keeps an atom that no universal one
-    empties (the model inhabiting every such atom shows it), so the query is
+    The premisses and the negated conclusion hold together exactly when
+    each particular one's region keeps an atom that no universal one empties
+    (the model inhabiting every such atom shows it), so the query is
     entailed exactly when some particular region lies inside that union.
     """
 
@@ -153,13 +154,11 @@ class VennSpace:
             known = self._cache[key] = (p.kind.particular, region_mask(p, self.terms))
         return known
 
-    def entails(
-        self, premisses: Iterable[Proposition], conclusion: Proposition, assumptions=()
-    ) -> bool:
+    def entails(self, premisses: Iterable[Proposition], conclusion: Proposition) -> bool:
         """The query of ``ModelSpace.entails``, with no model enumerated."""
         emptied = 0
         inhabited = []
-        for q in chain(premisses, assumptions):
+        for q in premisses:
             particular, mask = self._region(q)
             if particular:
                 inhabited.append(mask)
@@ -207,12 +206,10 @@ class ModelSpace(VennSpace):
             truth = self._cache[key] = hits if p.kind.particular else self._all ^ hits
         return truth
 
-    def entails(
-        self, premisses: Iterable[Proposition], conclusion: Proposition, assumptions=()
-    ) -> bool:
-        """True when every model of the premisses and assumptions models the conclusion."""
+    def entails(self, premisses: Iterable[Proposition], conclusion: Proposition) -> bool:
+        """True when every model of the premisses models the conclusion."""
         antecedent = self._all
-        for q in chain(premisses, assumptions):
+        for q in premisses:
             antecedent &= self.truth(q)
         return not antecedent & ~self.truth(conclusion)
 
@@ -236,6 +233,6 @@ def semantic_verdict(s: Syllogism) -> Verdict:
     if space.entails(premisses, goal):
         return _VALID
     existence = assumption_proposition(s)
-    if existence is not None and space.entails(premisses, goal, (existence,)):
+    if existence is not None and space.entails((*premisses, existence), goal):
         return _VALID_ASSUMING[s.assumption]
     return _INVALID

@@ -291,8 +291,8 @@ def test_one_assumption_or_all_of_them(n):
     space = space_for(terms)
     singles = [(e,) for e in existence]
     for premisses, conclusion in candidates:
-        alone = any(space.entails(premisses, conclusion, extra) for extra in [(), *singles])
-        assert alone == space.entails(premisses, conclusion, existence), (premisses, conclusion)
+        alone = any(space.entails((*premisses, *extra), conclusion) for extra in [(), *singles])
+        assert alone == space.entails((*premisses, *existence), conclusion), (premisses, conclusion)
 
 
 def _calculates(chain, conclusion, term=None):
@@ -316,7 +316,7 @@ def test_calculus_agrees_with_the_venn_oracle_beyond_three_terms(n):
         assert valid_bare == venn.entails(premisses, conclusion), (premisses, conclusion)
         valid_under = [_calculates(chain, conclusion, t) for t in terms]
         for valid, e in zip(valid_under, existence):
-            assert valid == venn.entails(premisses, conclusion, (e,)), (premisses, conclusion, e)
+            assert valid == venn.entails((*premisses, e), conclusion), (premisses, conclusion, e)
         bare += valid_bare
         assumed += any(valid_under)
     assert bare == count_valid_nterm(n, with_assumptions=False) == 2 * n * n - n

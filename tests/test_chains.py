@@ -275,6 +275,20 @@ def test_chain_from_text_rejects_junk():
             chain_from_text(bad)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("S * P", "expected an arrow at token 1, got '*'"),
+        ("-> S P", "expected a node at token 0, got '->'"),
+        ("S -> <- -> P", "expected a node at token 2, got '<-'"),
+    ],
+)
+def test_chain_from_text_names_the_misplaced_token(text, message):
+    with pytest.raises(ChainError) as raised:
+        chain_from_text(text)
+    assert str(raised.value) == message
+
+
 def test_chain_validation():
     with pytest.raises(ChainError):
         Chain((), ())

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from syllogist import (
     Assumption,
+    ChainError,
     Figure,
     Mood,
     MAX_COUNT_TERMS,
@@ -143,13 +144,16 @@ def test_region_model_checks_its_terms_and_mask():
         RegionModel(terms, 0)
     with pytest.raises(ValueError, match="duplicate"):
         RegionModel(("A", "B", "A"), 0)
-    # the cap and duplicates come before each term
+    # the cap comes before each term, and each term before duplicates,
+    # so an unhashable term is reported as a term, not hashed
     with pytest.raises(TooManyTerms):
         RegionModel(("",) + terms[:-1], 0)
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ChainError, match="non-empty strings, got ''"):
         RegionModel(("", ""), 0)
     with pytest.raises(ValueError, match="non-empty strings, got 3"):
         RegionModel(("A", 3), 1)
+    with pytest.raises(ChainError, match=r"non-empty strings, got \['a'\]"):
+        RegionModel((["a"],), 0)
     for mask in (1.5, "1", None, True):
         with pytest.raises(ValueError, match="an inhabitation mask is an int"):
             RegionModel(AB, mask)
@@ -162,6 +166,8 @@ def test_a_venn_space_checks_each_term():
         VennSpace(("S", "", "*"))
     with pytest.raises(ValueError, match="'\\*' clashes with chain notation"):
         VennSpace(("S", "*"))
+    with pytest.raises(ChainError, match=r"non-empty strings, got \['a'\]"):
+        VennSpace((["a"],))
 
 
 def test_a_model_space_checks_each_term():
@@ -189,15 +195,15 @@ def test_existence_assumption_rescues_the_import_case():
     premisses = [prop("E", "P", "M"), prop("A", "M", "S")]
     conclusion = prop("O", "S", "P")
     assert not space_for(SMP).entails(premisses, conclusion)
-    assert space_for(SMP).entails(premisses, conclusion, [prop("I", "M", "M")])
+    assert space_for(SMP).entails([*premisses, prop("I", "M", "M")], conclusion)
 
 
 def test_subalternation_needs_import():
     space = space_for(AB)
     assert not space.entails([prop("A", "A", "B")], prop("I", "A", "B"))
-    assert space.entails([prop("A", "A", "B")], prop("I", "A", "B"), [prop("I", "A", "A")])
+    assert space.entails([prop("A", "A", "B"), prop("I", "A", "A")], prop("I", "A", "B"))
     assert not space.entails([prop("E", "A", "B")], prop("O", "A", "B"))
-    assert space.entails([prop("E", "A", "B")], prop("O", "A", "B"), [prop("I", "A", "A")])
+    assert space.entails([prop("E", "A", "B"), prop("I", "A", "A")], prop("O", "A", "B"))
 
 
 def test_assumptions_are_monotone():
@@ -210,7 +216,7 @@ def test_assumptions_are_monotone():
             s = Syllogism(mood, fig)
             if semantic_verdict(s).is_valid:
                 for some in existence:
-                    assert space_for(SMP).entails(premisses_of(s), conclusion_of(s), [some])
+                    assert space_for(SMP).entails((*premisses_of(s), some), conclusion_of(s))
 
 
 def test_bitset_truth_agrees_with_per_model_loop():
@@ -261,8 +267,8 @@ def test_venn_space_agrees_with_enumeration_on_the_count_queries(n):
     venn, space = VennSpace(terms), space_for(terms)
     for extra in [(), *((e,) for e in existence), tuple(existence)]:
         for premisses, conclusion in candidates:
-            expected = space.entails(premisses, conclusion, extra)
-            assert venn.entails(premisses, conclusion, extra) == expected, (premisses, conclusion, extra)
+            expected = space.entails((*premisses, *extra), conclusion)
+            assert venn.entails((*premisses, *extra), conclusion) == expected, (premisses, conclusion, extra)
 
 
 @st.composite
@@ -276,8 +282,8 @@ def queries(draw):
 @given(queries())
 def test_venn_space_agrees_with_enumeration(query):
     terms, premisses, assumptions, conclusion = query
-    expected = space_for(terms).entails(premisses, conclusion, assumptions)
-    assert VennSpace(terms).entails(premisses, conclusion, assumptions) == expected
+    expected = space_for(terms).entails((*premisses, *assumptions), conclusion)
+    assert VennSpace(terms).entails((*premisses, *assumptions), conclusion) == expected
 
 
 def test_oracles_hash_no_proposition(monkeypatch):
@@ -317,7 +323,7 @@ def test_venn_space_checks_its_terms():
     with pytest.raises(UnknownTerm):
         VennSpace(AB).entails([prop("A", "A", "B")], prop("A", "A", "Z"))
     with pytest.raises(UnknownTerm):
-        VennSpace(AB).entails([], prop("A", "A", "B"), [prop("I", "Q", "Q")])
+        VennSpace(AB).entails([prop("I", "Q", "Q")], prop("A", "A", "B"))
 
 
 def test_venn_space_reaches_past_the_enumeration_cap():
@@ -326,7 +332,7 @@ def test_venn_space_reaches_past_the_enumeration_cap():
     venn = VennSpace(five)
     assert venn.entails(chain, prop("A", "A", "E"))
     assert not venn.entails(chain, prop("I", "A", "E"))
-    assert venn.entails(chain, prop("I", "A", "E"), [prop("I", "A", "A")])
+    assert venn.entails([*chain, prop("I", "A", "A")], prop("I", "A", "E"))
 
 
 # --- verdict adapter --------------------------------------------------------
