@@ -52,6 +52,7 @@ class TableRow(_Value):
     """One syllogism with both verdicts side by side."""
 
     __slots__ = ("syllogism", "calculus", "oracle")
+    _types = (Syllogism, Verdict, Verdict)
 
     def __init__(self, syllogism: Syllogism, calculus: Verdict, oracle: Verdict) -> None:
         self._set(syllogism, calculus, oracle)
@@ -127,6 +128,7 @@ class LawResult(_Value):
     """
 
     __slots__ = ("name", "chain", "expected", "trace", "ok")
+    _types = (str, Chain, (Proposition, type(None)), Trace, bool)
 
     def __init__(
         self, name: str, chain: Chain, expected: Proposition | None, trace: Trace, ok: bool

@@ -26,7 +26,9 @@ its term names, its bullets and arrows, and its arrow count.  Each
 operation here and in the other modules builds its result through that
 constructor, so a derived chain (a diagram, dual, concatenation, splice
 or reduction step) is checked as a chain from input is.  ``Proposition``
-checks its kind and term names, and ``chain_along`` its start term.
+checks its kind and term names, and ``chain_along`` its start term.  The
+value classes of ``inference`` and ``catalog`` declare their field types
+in ``_types``, and ``_Value._set`` checks them: one type rule, one place.
 """
 
 from __future__ import annotations
@@ -58,9 +60,12 @@ class _Value:
     keeps its base's fields.  Beside them, ``_setters`` holds each field's
     slot descriptor setter, found at the same time.  Its ``__init__``, whose
     parameters are those fields in that order, is one ``_set`` call.
-    ``_set`` is the one store: no other code in the package sets a field,
-    and it runs ``__post_init__``, the one check hook, on every value
-    built, derived values included.
+    ``_set`` is the one store: no other code in the package sets a field.
+    On every value built, derived values included, it stores the fields,
+    then checks each against its entry in ``_types`` when the class
+    declares them (a class or a tuple of classes per field, in ``_names``
+    order), raising ``ValueError`` that names the first bad field.  Last
+    it runs ``__post_init__``, the hook for rules beyond a field's type.
     Equality and hashing go by class and field values, ``repr`` reads
     ``Name(field=value, ...)``, and copying and pickling rebuild the value
     through its constructor, so its checks run again.  No subclass
@@ -72,6 +77,7 @@ class _Value:
     __slots__ = ()
     _names: tuple[str, ...] = ()
     _setters: tuple = ()
+    _types: tuple = ()
 
     def __init_subclass__(cls) -> None:
         slots = tuple(cls.__dict__.get("__slots__", ()))
@@ -82,10 +88,22 @@ class _Value:
     def _set(self, *values: object) -> None:
         for store, value in zip(self._setters, values):
             store(self, value)
+        types = self._types
+        if types and not all(map(isinstance, values, types)):
+            self._type_error(values)
         self.__post_init__()
 
+    def _type_error(self, values: tuple) -> None:
+        """Raise ``ValueError`` naming the first field that is not of its declared type."""
+        for name, value, types in zip(self._names, values, self._types):
+            if not isinstance(value, types):
+                types = types if isinstance(types, tuple) else (types,)
+                expected = " or ".join(t.__name__ for t in types)
+                what = type(self).__name__.lower()
+                raise ValueError(f"a {what}'s {name} is of type {expected}, got {value!r}")
+
     def __post_init__(self) -> None:
-        """Check the stored fields; a subclass with rules overrides this."""
+        """Check rules beyond the fields' types; a subclass with such rules overrides this."""
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

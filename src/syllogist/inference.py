@@ -87,19 +87,10 @@ class Mood(_Value):
     """Kinds of the two premisses and the conclusion, in that order."""
 
     __slots__ = ("first", "second", "conclusion")
+    _types = (PropKind,) * 3
 
     def __init__(self, first: PropKind, second: PropKind, conclusion: PropKind) -> None:
         self._set(first, second, conclusion)
-
-    def __post_init__(self) -> None:
-        first, second, conclusion = self.first, self.second, self.conclusion
-        if not (
-            isinstance(first, PropKind)
-            and isinstance(second, PropKind)
-            and isinstance(conclusion, PropKind)
-        ):
-            bad = next(k for k in (first, second, conclusion) if not isinstance(k, PropKind))
-            raise ValueError(f"a mood's letters are PropKinds, got {bad!r}")
 
     @classmethod
     def from_text(cls, letters: str) -> "Mood":
@@ -109,19 +100,6 @@ class Mood(_Value):
 
     def __str__(self) -> str:
         return self.first.value + self.second.value + self.conclusion.value
-
-
-def _raise_type_error(value: _Value, what: str, types: tuple) -> None:
-    """Name the first of ``value``'s fields that is not an instance of its entry in ``types``.
-
-    A check hook tests every field in one expression and calls this only
-    when that fails, so the loop runs only to word the error.
-    """
-    for name, cls in zip(value._names, types):
-        field = getattr(value, name)
-        if not isinstance(field, cls):
-            expected = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
-            raise ValueError(f"a {what}'s {name} is of type {expected}, got {field!r}")
 
 
 class Assumption(Enum):
@@ -148,19 +126,12 @@ class Syllogism(_Value):
     """A mood and figure, optionally with an assumption of existence."""
 
     __slots__ = ("mood", "figure", "assumption")
+    _types = (Mood, Figure, Assumption)
 
     def __init__(
         self, mood: Mood, figure: Figure, assumption: Assumption = Assumption.NONE
     ) -> None:
         self._set(mood, figure, assumption)
-
-    def __post_init__(self) -> None:
-        if not (
-            isinstance(self.mood, Mood)
-            and isinstance(self.figure, Figure)
-            and isinstance(self.assumption, Assumption)
-        ):
-            _raise_type_error(self, "syllogism", (Mood, Figure, Assumption))
 
     def __str__(self) -> str:
         text = f"{self.mood}-{self.figure.value}"
@@ -173,6 +144,7 @@ class ReductionStep(_Value):
     """One deletion: the node index removed and the chains around it."""
 
     __slots__ = ("position", "deleted_term", "before", "after")
+    _types = (int, str, Chain, Chain)
 
     def __init__(self, position: int, deleted_term: TermId, before: Chain, after: Chain) -> None:
         self._set(position, deleted_term, before, after)
@@ -182,6 +154,7 @@ class Trace(_Value):
     """A full reduction run from an initial chain to its normal form."""
 
     __slots__ = ("initial", "steps", "normal_form")
+    _types = (Chain, tuple, Chain)
 
     def __init__(
         self, initial: Chain, steps: tuple[ReductionStep, ...], normal_form: Chain
@@ -227,6 +200,7 @@ class Verdict(_Value):
     """
 
     __slots__ = ("validity", "assumption", "trace")
+    _types = (Validity, Assumption, (Trace, type(None)))
 
     def __init__(
         self,
@@ -237,13 +211,6 @@ class Verdict(_Value):
         self._set(validity, assumption, trace)
 
     def __post_init__(self) -> None:
-        trace = self.trace
-        if not (
-            isinstance(self.validity, Validity)
-            and isinstance(self.assumption, Assumption)
-            and (trace is None or isinstance(trace, Trace))
-        ):
-            _raise_type_error(self, "verdict", (Validity, Assumption, (Trace, type(None))))
         conditional = self.validity is Validity.VALID_WITH_ASSUMPTION
         if conditional == (self.assumption is Assumption.NONE):
             raise ValueError(

@@ -226,13 +226,18 @@ def semantic_verdict(s: Syllogism) -> Verdict:
     returned only when the bare syllogism fails but the stated assumption
     rescues it.  Every verdict it returns is one of the shared trace-less
     verdicts of ``inference``.
+
+    Entailment is monotone in the premisses: what follows bare follows
+    with the existence premiss too.  So the query with the assumption is
+    asked first, and when it fails the verdict is invalid without the bare
+    query; otherwise the bare query alone tells valid from conditional.
     """
     premisses = premisses_of(s)
     goal = conclusion_of(s)
     space = space_for((MINOR, MIDDLE, MAJOR))
+    existence = assumption_proposition(s)
+    if existence is not None and not space.entails((*premisses, existence), goal):
+        return _INVALID
     if space.entails(premisses, goal):
         return _VALID
-    existence = assumption_proposition(s)
-    if existence is not None and space.entails((*premisses, existence), goal):
-        return _VALID_ASSUMING[s.assumption]
-    return _INVALID
+    return _INVALID if existence is None else _VALID_ASSUMING[s.assumption]

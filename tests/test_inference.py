@@ -345,7 +345,7 @@ def test_all_syllogisms_reduce_each_premiss_chain_once(monkeypatch):
 
 def test_mood_and_syllogism_check_their_fields():
     # unchecked, decide raised KeyError on the first and str() AttributeError on the second
-    with pytest.raises(ValueError, match="a mood's letters are PropKinds, got 'A'"):
+    with pytest.raises(ValueError, match="a mood's first is of type PropKind, got 'A'"):
         Mood("A", "A", "A")
     for letters in ("AAAA", "AA"):
         with pytest.raises(ValueError, match="a mood has three letters"):

@@ -137,6 +137,26 @@ def test_every_value_class_is_listed():
     assert set(_Value.__subclasses__()) == set(CASES)
 
 
+# the classes whose fields ``_Value._set`` checks against declared types
+TYPED = (Mood, Syllogism, ReductionStep, Trace, Verdict, TableRow, LawResult)
+
+
+def test_typed_classes_declare_one_type_per_field():
+    assert {c for c in CASES if "_types" in vars(c)} == set(TYPED)
+    for typed in TYPED:
+        assert len(typed._types) == len(typed._names), typed
+
+
+@pytest.mark.parametrize("typed", TYPED, ids=lambda typed: typed.__name__)
+def test_a_field_of_the_wrong_type_is_a_value_error_naming_it(typed):
+    for k, (name, _value, _other) in enumerate(CASES[typed]):
+        bad = values(typed)
+        bad[k] = object()
+        what = typed.__name__.lower()
+        with pytest.raises(ValueError, match=f"^a {what}'s {name} is of type .*, got <object"):
+            typed(*bad)
+
+
 def test_init_parameters_are_the_slots_in_order(cls):
     # _set stores the fields in this order, and _fields, __reduce__ and repr read them so
     assert tuple(inspect.signature(cls).parameters) == cls.__slots__
