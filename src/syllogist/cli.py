@@ -30,10 +30,13 @@ however often a corpus repeats it, and prints one result per block.  A
 corpus parses each distinct block text and each distinct proposition text
 once, and ``--format json`` encodes each distinct entry once and each
 distinct trace once (there are at most 256), splicing a trace's cached
-text into every entry that shows it.  Each input's cached text joins the
-output as it is reached, a json list entry by entry as the text of
-``json.dumps(entries, indent=2)``, and the output goes out in writes of
-at most ``BATCH`` characters plus one entry, however stdout is buffered.
+text into every entry that shows it.  An entry is a flat object that
+``_entry`` writes from its fixed layout; only a trace, and the output of
+``tables``, ``laws`` and ``count``, go through ``json.dumps``.  Each
+input's cached text joins the output as it is reached, a json list entry
+by entry as the text of ``json.dumps(entries, indent=2)``, and the output
+goes out in writes of at most ``BATCH`` characters plus one entry,
+however stdout is buffered.
 Equal syllogisms in a corpus are one object, so the run's cache of
 reports is keyed by identity (``id``) and a repeated block costs one
 lookup in C.
@@ -92,6 +95,26 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
+def _entry(**fields) -> str:
+    """``_json(fields)`` for a report entry, written from its fixed layout.
+
+    An entry is a flat object: its keys are plain words and each value is a
+    str, an int or None.  So its text is one ``"key": value`` line per field,
+    indented two spaces, with each string quoted by the C function that
+    ``json.dumps`` quotes with.
+    """
+    from json.encoder import encode_basestring_ascii as quote
+
+    lines = []
+    for key, value in fields.items():
+        if value is None:
+            value = "null"
+        elif isinstance(value, str):
+            value = quote(value)
+        lines.append(f'  "{key}": {value}')
+    return "{\n" + ",\n".join(lines) + "\n}"
+
+
 def _dot_chain_lines(tag: str, title: str, chain) -> list[str]:
     lines = [f"  subgraph cluster_{tag} {{", f'    label="{title}";']
     for i, node in enumerate(chain.nodes):
@@ -132,13 +155,13 @@ def _report(args, s: Syllogism, traces: dict[int, tuple[Trace, str]]) -> tuple[b
         from .notation import render_block
 
         if args.format == "json":
-            return True, _json({
-                "input": label,
-                "mood": str(s.mood),
-                "figure": s.figure.value,
-                "assumption": s.assumption.term,
-                "block": render_block(s),
-            })
+            return True, _entry(
+                input=label,
+                mood=str(s.mood),
+                figure=s.figure.value,
+                assumption=s.assumption.term,
+                block=render_block(s),
+            )
         return True, f"{s} = {render_block(s)}"
     verdict = decide(s)
     trace = verdict.trace
@@ -150,12 +173,12 @@ def _report(args, s: Syllogism, traces: dict[int, tuple[Trace, str]]) -> tuple[b
     if args.format == "dot":
         out = trace_dot(trace, f"{label}: {phrase}")
     elif args.format == "json":
-        out = _json({
-            "input": label,
-            "verdict": verdict.validity.value,
-            "assumption": verdict.assumption.term,
-            "trace": None,
-        })
+        out = _entry(
+            input=label,
+            verdict=verdict.validity.value,
+            assumption=verdict.assumption.term,
+            trace=None,
+        )
         if trace is not None:
             # keyed by identity, and the trace is kept so that its id stays its own
             cached = traces.get(id(trace))
@@ -204,7 +227,7 @@ def cmd_report(args) -> int:
         if report is None:
             valid, out = _report(args, s, traces)
             if json_list:
-                # json.dumps escapes every newline inside a string, so each raw
+                # json's quoting escapes every newline inside a string, so each raw
                 # "\n" is structural: indenting after it nests the entry one level
                 out = out.replace("\n", "\n  ")
             else:

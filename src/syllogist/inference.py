@@ -149,6 +149,11 @@ class ReductionStep(_Value):
     def __init__(self, position: int, deleted_term: TermId, before: Chain, after: Chain) -> None:
         self._set(position, deleted_term, before, after)
 
+    def __post_init__(self) -> None:
+        # an int proper, as a SourceSpan's offsets: a bool is an int but no position
+        if type(self.position) is not int:
+            raise ValueError(f"a reductionstep's position is of type int, got {self.position!r}")
+
 
 class Trace(_Value):
     """A full reduction run from an initial chain to its normal form."""
@@ -160,6 +165,11 @@ class Trace(_Value):
         self, initial: Chain, steps: tuple[ReductionStep, ...], normal_form: Chain
     ) -> None:
         self._set(initial, steps, normal_form)
+
+    def __post_init__(self) -> None:
+        for step in self.steps:
+            if not isinstance(step, ReductionStep):
+                raise ValueError(f"a trace's steps hold ReductionSteps only, got {step!r}")
 
     def step_lines(self) -> list[str]:
         return [

@@ -218,13 +218,13 @@ def render_proposition(p: Proposition) -> str:
     return _TEMPLATES[p.kind].format(p.subject, p.predicate)
 
 
-def _segments(text: str) -> list[tuple[str, int]]:
-    """Split on ';' and line breaks, dropping '#' comments, keeping offsets."""
-    return [
-        (m[1], m.start())
-        for m in _SEGMENT_RE.finditer(text)
-        if m[1] is not None and m[1].strip()
-    ]
+def _in_segment(text: str, offset: int, k: int, start: int, end: int) -> SourceSpan:
+    """The span ``start..end`` inside the ``k``-th segment of the block
+    ``text``, as offsets into the input.  Only an error needs a segment's
+    offset, so ``_block`` splits with ``_SEGMENT_RE.findall`` and this finds
+    the same segments again with ``finditer``."""
+    starts = [m.start() for m in _SEGMENT_RE.finditer(text) if m[1] is not None and m[1].strip()]
+    return SourceSpan(offset + starts[k] + start, offset + starts[k] + end)
 
 
 def parse_syllogism_block(text: str) -> Syllogism:
@@ -241,32 +241,40 @@ def parse_syllogism_block(text: str) -> Syllogism:
 def _block(text: str, offset: int, propositions: dict[str, tuple[PropKind, str, str]]) -> _Key:
     """The fields of a block, each segment looked up in ``propositions``
     before it is parsed, and kept there once it parses."""
-    segments = _segments(text)
+    # split on ';' and line breaks; a comment gives '', dropped as blank.  A
+    # parse needs no offsets, so only a path that raises finds them
+    segments = [t for t in _SEGMENT_RE.findall(text) if t.strip()]
 
     assumed = None
     if segments:
-        m = _ASSUMING_RE.match(segments[-1][0])
-        if m is not None:
-            assumed = m, offset + segments.pop()[1]
+        assumed = _ASSUMING_RE.match(segments[-1])
+        if assumed is not None:
+            segments.pop()
 
     if len(segments) != 3:
         raise NotASyllogism(
             f"a syllogism block holds exactly three propositions, found {len(segments)}",
             SourceSpan(offset, offset + len(text)),
         )
-    (t1, o1), (t2, o2), (t3, o3) = segments
-    # unpacked in order, so the first bad proposition's error wins; a parse
+    # parsed in order, so the first bad proposition's error wins; a parse
     # that succeeds depends on the segment's text alone, so a repeated text
     # reuses it
-    (k1, s1, p1), (k2, s2, p2), (k3, subject, predicate) = (
-        propositions.get(t) or propositions.setdefault(t, _proposition(t, offset + o))
-        for t, o in segments
-    )
+    parsed = []
+    for k, t in enumerate(segments):
+        p = propositions.get(t)
+        if p is None:
+            try:
+                p = propositions[t] = _proposition(t, 0)
+            except NotationError as err:
+                err.span = _in_segment(text, offset, k, err.span.start, err.span.end)
+                raise
+        parsed.append(p)
+    (k1, s1, p1), (k2, s2, p2), (k3, subject, predicate) = parsed
 
     if subject == predicate:
         raise AmbiguousTerms(
             "the conclusion's subject and predicate coincide, so the term roles collapse",
-            SourceSpan(offset + o3, offset + o3 + len(t3)),
+            _in_segment(text, offset, 2, 0, len(segments[2])),
         )
     terms = {subject, predicate, s1, p1, s2, p2}
     if len(terms) != 3:
@@ -278,12 +286,12 @@ def _block(text: str, offset: int, propositions: dict[str, tuple[PropKind, str, 
     if {s1, p1} != {middle, predicate}:
         raise NotASyllogism(
             "the first premiss must relate the middle term and the conclusion's predicate",
-            SourceSpan(offset + o1, offset + o1 + len(t1)),
+            _in_segment(text, offset, 0, 0, len(segments[0])),
         )
     if {s2, p2} != {middle, subject}:
         raise NotASyllogism(
             "the second premiss must relate the middle term and the conclusion's subject",
-            SourceSpan(offset + o2, offset + o2 + len(t2)),
+            _in_segment(text, offset, 1, 0, len(segments[1])),
         )
 
     role = {subject: MINOR, middle: MIDDLE, predicate: MAJOR}
@@ -291,13 +299,13 @@ def _block(text: str, offset: int, propositions: dict[str, tuple[PropKind, str, 
 
     assumption = Assumption.NONE
     if assumed is not None:
-        m, start = assumed
-        if m[1] not in role:
+        if assumed[1] not in role:
+            # the assumption is the segment after the three propositions
             raise NotASyllogism(
-                f"the assumption must name one of the three terms, got {m[1]!r}",
-                SourceSpan(start + m.start(1), start + m.end(1)),
+                f"the assumption must name one of the three terms, got {assumed[1]!r}",
+                _in_segment(text, offset, 3, assumed.start(1), assumed.end(1)),
             )
-        assumption = _ASSUMPTION_OF_NAME[role[m[1]]]
+        assumption = _ASSUMPTION_OF_NAME[role[assumed[1]]]
 
     return k1, k2, k3, figure, assumption
 

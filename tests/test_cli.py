@@ -647,7 +647,22 @@ def test_corpus_json_is_the_text_of_json_dumps(tmp_path, capsys, command, text):
 
 @JSON_COMMANDS
 @pytest.mark.parametrize(
-    "notation", ['AAA-1 # "x\\y"', "Some tall is not fish; No fish is cat; Some cat is tall"]
+    "notation",
+    [
+        'AAA-1 # "x\\y"',
+        "Some tall is not fish; No fish is cat; Some cat is tall",
+        # labels that json.dumps escapes: non-ASCII text, a tab, DEL, and a
+        # comment ended by a line separator inside a block
+        "AAA-1 # café",
+        "EAE-1\t# tab",
+        "AII-1 # \x7f",
+        "All M is P # é\u2028All S is M; All S is P",
+        # each verdict shape: invalid, valid, and valid under +S, +M and +P
+        "OEI-4",
+        "AAI-1 +S",
+        "AAI-3 +M",
+        "AAI-4 +P",
+    ],
 )
 def test_single_json_is_the_text_of_json_dumps(capsys, command, notation):
     out = run(capsys, command, "--format", "json", notation)[1]
@@ -658,6 +673,14 @@ def test_single_json_is_the_text_of_json_dumps(capsys, command, notation):
 def test_corpus_json_encodes_each_distinct_entry_once(tmp_path, capsys, monkeypatch):
     corpus = tmp_path / "repeats.syl"
     corpus.write_text(REPEATS)
+    entries = []
+    entry = cli._entry
+
+    def counting_entry(**fields):
+        entries.append(fields["input"])
+        return entry(**fields)
+
+    monkeypatch.setattr(cli, "_entry", counting_entry)
     calls = []
     dumps = json.dumps
 
@@ -669,10 +692,11 @@ def test_corpus_json_encodes_each_distinct_entry_once(tmp_path, capsys, monkeypa
     code, out, _ = run(capsys, "trace", "--format", "json", "--corpus", str(corpus))
     assert code == 1
     assert out.count('"input"') == 8
-    # an entry is encoded with a null trace, and each distinct trace once on its own
-    assert len([obj for obj in calls if "input" in obj]) == 4
+    # an entry is laid out by hand with a null trace, once per distinct input,
+    # and json.dumps encodes only each distinct trace, once on its own
+    assert len(entries) == len(set(entries)) == 4
     assert len([obj for obj in calls if "initial" in obj]) == 4
-    assert len(calls) == 8
+    assert len(calls) == 4
 
 
 def test_corpus_json_encodes_a_shared_trace_once(tmp_path, capsys, monkeypatch):

@@ -529,6 +529,35 @@ def test_parse_corpus_reports_a_bad_proposition_after_known_ones_at_its_own_span
     assert _span_of(exc) == (text.index("9"), text.index("9") + 1)
 
 
+# every error a block raises, in a corpus's second block (from offset 7),
+# after a comment line, a blank segment and a ';', so that its segments
+# start at 14, 26 and 38
+@pytest.mark.parametrize(
+    "body, error, match, span",
+    [
+        ("All M is P; All S is M", NotASyllogism, "exactly three propositions, found 2", (7, 38)),
+        ("All M is P; Every S is M; All S is P", NotationError, "expected 'All X is Y'", (27, 39)),
+        ("All M is P; All not is M; All S is P", NotationError, "reserved word", (31, 34)),
+        ("All M is P; All 9S is M; All S is P", NotationError, "term tokens", (31, 33)),
+        ("All M is P; All S is M; All S is S", AmbiguousTerms, "coincide", (38, 49)),
+        ("All M is P; All S is Q; All S is P", NotASyllogism, "three terms, found 4", (7, 50)),
+        ("All M is S; All S is M; All S is P", NotASyllogism, "first premiss", (14, 25)),
+        ("All M is P; All P is M; All S is P", NotASyllogism, "second premiss", (26, 37)),
+        ("All M is P; All S is M; All S is P; assuming some X", NotASyllogism, "'X'", (65, 66)),
+    ],
+    ids=[
+        "count", "template", "reserved", "token", "coincide", "terms", "first", "second",
+        "assumption",
+    ],
+)
+def test_parse_corpus_block_error_spans_after_a_comment_and_a_semicolon(body, error, match, span):
+    text = f"AAA-1\n\n# c\n \t; {body}\n"
+    with pytest.raises(error, match=match) as exc:
+        parse_corpus(text)
+    assert type(exc.value) is error
+    assert _span_of(exc) == span
+
+
 def _parse_every_block(text):
     """``parse_corpus`` with no memo: every block through ``parse_any``."""
     results = []

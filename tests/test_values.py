@@ -157,6 +157,15 @@ def test_a_field_of_the_wrong_type_is_a_value_error_naming_it(typed):
             typed(*bad)
 
 
+def test_a_step_position_is_an_int_proper_and_a_trace_holds_steps_only():
+    with pytest.raises(ValueError, match="^a reductionstep's position is of type int, got True$"):
+        ReductionStep(True, STEP.deleted_term, STEP.before, STEP.after)
+    with pytest.raises(ValueError, match="^a trace's steps hold ReductionSteps only, got 'x'$"):
+        Trace(AB, ("x",), AB)
+    with pytest.raises(ValueError, match="^a trace's steps hold ReductionSteps only, got 'x'$"):
+        Trace(AB, (STEP, "x"), AB)
+
+
 def test_init_parameters_are_the_slots_in_order(cls):
     # _set stores the fields in this order, and _fields, __reduce__ and repr read them so
     assert tuple(inspect.signature(cls).parameters) == cls.__slots__
