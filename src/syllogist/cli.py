@@ -30,9 +30,9 @@ however often a corpus repeats it, and prints one result per block.  A
 corpus parses each distinct block text and each distinct proposition text
 once, and ``--format json`` encodes each distinct entry once and each
 distinct trace once (there are at most 256), splicing a trace's cached
-text into every entry that shows it.  An entry is a flat object that
-``_entry`` writes from its fixed layout; only a trace, and the output of
-``tables``, ``laws`` and ``count``, go through ``json.dumps``.  Each
+text into every entry that shows it.  json's encoder lays out an entry,
+a flat object, with the separators of ``indent=2``; only a trace and the
+output of ``tables``, ``laws`` and ``count`` go through ``json.dumps``.  Each
 input's cached text joins the output as it is reached, a json list entry
 by entry as the text of ``json.dumps(entries, indent=2)``, and the output
 goes out in writes of at most ``BATCH`` characters plus one entry,
@@ -59,6 +59,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from .chains import Arrow, is_bullet
 from .inference import (
@@ -95,24 +96,19 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
+@cache
+def _encode():
+    """json's encoder with the item separator of ``indent=2`` one level deep."""
+    import json
+
+    return json.JSONEncoder(separators=(",\n  ", ": ")).encode
+
+
 def _entry(**fields) -> str:
-    """``_json(fields)`` for a report entry, written from its fixed layout.
-
-    An entry is a flat object: its keys are plain words and each value is a
-    str, an int or None.  So its text is one ``"key": value`` line per field,
-    indented two spaces, with each string quoted by the C function that
-    ``json.dumps`` quotes with.
-    """
-    from json.encoder import encode_basestring_ascii as quote
-
-    lines = []
-    for key, value in fields.items():
-        if value is None:
-            value = "null"
-        elif isinstance(value, str):
-            value = quote(value)
-        lines.append(f'  "{key}": {value}')
-    return "{\n" + ",\n".join(lines) + "\n}"
+    """``_json(fields)`` for a report entry.  An entry is a flat object, so
+    json's encoder lays it out in C, each field after a line break and two
+    spaces."""
+    return "{\n  " + _encode()(fields)[1:-1] + "\n}"
 
 
 def _dot_chain_lines(tag: str, title: str, chain) -> list[str]:

@@ -19,9 +19,11 @@ Private parsers map text to a syllogism's fields and share nothing.
 Public parsers build values from those fields.  Only the corpus parser
 shares, one ``Syllogism`` object per distinct syllogism in a call.
 
-A ``#`` comment is ignored in every notation and runs to the end of its
-line.  A line ends at any break that ``str.splitlines`` recognises, so
-comments, block segments and corpus blocks all end at the same places.
+A ``#`` comment runs to the end of its line, and the line ends where the
+comment begins: each public parser blanks its text's comments into line
+breaks once, so every parser ignores them, ``parse_proposition`` too.
+A line ends at any break that ``str.splitlines`` recognises, so comments,
+block segments and corpus blocks all end at the same places.
 
 Every parse error carries a span into the input, in character offsets
 (indices into the ``str``, not into its encoded bytes).
@@ -98,8 +100,8 @@ _ASSUMING_RE = re.compile(r"\s*(?ai:assuming)\s+(?ai:some)\s+(\S+)\s*$")
 # the line breaks of str.splitlines, so a comment ends where a corpus line does
 _EOL = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _COMMENT_RE = re.compile(f"#[^{_EOL}]*")
-# group 1 is a segment; segments end at ';', a line break or a comment
-_SEGMENT_RE = re.compile(f"([^;#{_EOL}]+)|{_COMMENT_RE.pattern}")
+# segments end at ';' or a line break, so at a comment's place once it is blanked
+_SEGMENT_RE = re.compile(f"[^;{_EOL}]+")
 # the compact notation's letters, in either case, and its figure digits
 _KIND_OF_LETTER = {c: kind for kind in PropKind for c in (kind.value, kind.value.lower())}
 _FIGURE_OF_DIGIT = {str(figure.value): figure for figure in Figure}
@@ -122,8 +124,8 @@ def _syllogism(key: _Key) -> Syllogism:
 
 
 def _blank_comments(text: str) -> str:
-    """``text`` with each comment blanked in place, so offsets into it stay valid."""
-    return _COMMENT_RE.sub(lambda m: " " * len(m[0]), text) if "#" in text else text
+    """``text`` with each comment a line break padded to its length, so offsets stay valid."""
+    return _COMMENT_RE.sub(lambda m: "\n".ljust(len(m[0])), text) if "#" in text else text
 
 
 def parse_compact(text: str) -> Syllogism:
@@ -202,8 +204,8 @@ def _proposition(text: str, offset: int) -> tuple[PropKind, str, str]:
 
 
 def parse_proposition(text: str) -> Proposition:
-    """Parse one of the four proposition templates."""
-    return Proposition(*_proposition(text, 0))
+    """Parse one of the four proposition templates; '#' comments are ignored."""
+    return Proposition(*_proposition(_blank_comments(text), 0))
 
 
 _TEMPLATES = {
@@ -223,7 +225,7 @@ def _in_segment(text: str, offset: int, k: int, start: int, end: int) -> SourceS
     ``text``, as offsets into the input.  Only an error needs a segment's
     offset, so ``_block`` splits with ``_SEGMENT_RE.findall`` and this finds
     the same segments again with ``finditer``."""
-    starts = [m.start() for m in _SEGMENT_RE.finditer(text) if m[1] is not None and m[1].strip()]
+    starts = [m.start() for m in _SEGMENT_RE.finditer(text) if m[0].strip()]
     return SourceSpan(offset + starts[k] + start, offset + starts[k] + end)
 
 
@@ -233,16 +235,16 @@ def parse_syllogism_block(text: str) -> Syllogism:
     The figure is inferred from term positions: the middle term is the one
     shared by the premisses, the conclusion fixes subject and predicate,
     and the first premiss must carry the conclusion's predicate, the
-    second its subject.
+    second its subject.  '#' comments are ignored.
     """
-    return _syllogism(_block(text, 0, {}))
+    return _syllogism(_block(_blank_comments(text), 0, {}))
 
 
 def _block(text: str, offset: int, propositions: dict[str, tuple[PropKind, str, str]]) -> _Key:
-    """The fields of a block, each segment looked up in ``propositions``
-    before it is parsed, and kept there once it parses."""
-    # split on ';' and line breaks; a comment gives '', dropped as blank.  A
-    # parse needs no offsets, so only a path that raises finds them
+    """The fields of a block whose comments are blanked, each segment looked
+    up in ``propositions`` before it is parsed, and kept there once it parses."""
+    # split on ';' and line breaks, blank segments dropped.  A parse needs
+    # no offsets, so only a path that raises finds them
     segments = [t for t in _SEGMENT_RE.findall(text) if t.strip()]
 
     assumed = None
@@ -322,13 +324,13 @@ def render_block(s: Syllogism) -> str:
 
 def parse_any(text: str) -> Syllogism:
     """Parse either notation, routed on the input's shape; '#' comments are ignored."""
-    return _syllogism(_any(text, 0, {}))
+    return _syllogism(_any(_blank_comments(text), 0, {}))
 
 
 def _any(text: str, offset: int, propositions: dict[str, tuple[PropKind, str, str]]) -> _Key:
-    """The fields of either notation, a block's propositions looked up in
-    ``propositions`` first."""
-    m = _COMPACT_RE.match(_blank_comments(text))
+    """The fields of either notation, from a text whose comments are
+    blanked, a block's propositions looked up in ``propositions`` first."""
+    m = _COMPACT_RE.match(text)
     return _block(text, offset, propositions) if m is None else _compact(m, offset)
 
 
@@ -349,7 +351,7 @@ def _parse_corpus(text: str) -> list[tuple[Syllogism, int, int]]:
     # a parse does not depend on the offset, and only blocks and propositions
     # that parse are kept, so a repeated text reuses its result and the first
     # bad block still raises at its own span
-    parsed: dict[str, Syllogism] = {}
+    parsed: dict[str, Syllogism | None] = {}
     propositions: dict[str, tuple[PropKind, str, str]] = {}
     syllogisms: dict[_Key, Syllogism] = {}
     start = 0
@@ -358,10 +360,11 @@ def _parse_corpus(text: str) -> list[tuple[Syllogism, int, int]]:
         end = start + len(block)
         if not blank:
             s = parsed.get(block)
-            # a block that is not blank and holds no '#' has text outside comments
-            if s is None and ("#" not in block or _COMMENT_RE.sub("", block).strip()):
-                key = _any(block, start, propositions)
-                s = syllogisms.get(key) or syllogisms.setdefault(key, _syllogism(key))
+            if s is None and block not in parsed:
+                # a block of comments alone blanks to whitespace: kept as None
+                if not (bare := _blank_comments(block)).isspace():
+                    key = _any(bare, start, propositions)
+                    s = syllogisms.get(key) or syllogisms.setdefault(key, _syllogism(key))
                 parsed[block] = s
             if s is not None:
                 results.append((s, start, end))

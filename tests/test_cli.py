@@ -670,6 +670,12 @@ def test_single_json_is_the_text_of_json_dumps(capsys, command, notation):
     assert out == json.dumps(expected, indent=2) + "\n"
 
 
+def test_an_entry_is_the_text_of_json_dumps():
+    # a str that json escapes, an int, and the three constants json spells its own way
+    fields = {"input": "café\t\u2028", "figure": 2, "assumption": None, "yes": True, "no": False}
+    assert cli._entry(**fields) == json.dumps(fields, indent=2)
+
+
 def test_corpus_json_encodes_each_distinct_entry_once(tmp_path, capsys, monkeypatch):
     corpus = tmp_path / "repeats.syl"
     corpus.write_text(REPEATS)

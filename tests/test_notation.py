@@ -107,10 +107,19 @@ def test_compact_round_trip_all_1024():
         ("Some S is not P", ("O", "S", "P")),
         ("all dogs is black_things", ("A", "dogs", "black_things")),
         ("SOME x IS NOT y", ("O", "x", "y")),
+        ("All M is P  # note", ("A", "M", "P")),
+        ("Some S is not P # x; y", ("O", "S", "P")),
     ],
 )
 def test_parse_proposition(text, expected):
     assert parse_proposition(text) == prop(*expected)
+
+
+def test_proposition_span_ends_at_a_comment():
+    # the line ends where the comment begins, and so does the span
+    with pytest.raises(NotationError, match="expected 'All X is Y'") as exc:
+        parse_proposition("All M is # P")
+    assert (exc.value.span.start, exc.value.span.end) == (0, 8)
 
 
 def test_term_case_is_significant():
@@ -279,6 +288,29 @@ def test_premiss_span_ends_at_its_comment():
         parse_syllogism_block(text)
     assert (exc.value.span.start, exc.value.span.end) == (0, 12)
     assert text[exc.value.span.start : exc.value.span.end] == "All S is M  "
+
+
+# the three errors that span a whole segment, that segment followed on its
+# line by a comment: each span ends where the '#' begins, alone and as a
+# corpus's second block (from offset 7)
+@pytest.mark.parametrize(
+    "body, error, match, span",
+    [
+        ("All M is P\nAll S is M\nAll S is S # why; x\n", AmbiguousTerms, "coincide", (22, 33)),
+        ("No S is M # r\nAll P is M\nAll S is P\n", NotASyllogism, "first premiss", (0, 10)),
+        ("All M is P\nAll P is M  #; r\nAll S is P\n", NotASyllogism, "second premiss", (11, 23)),
+    ],
+    ids=["coincide", "first", "second"],
+)
+def test_whole_segment_spans_end_at_a_comment(body, error, match, span):
+    for parse in (parse_any, parse_syllogism_block):
+        with pytest.raises(error, match=match) as exc:
+            parse(body)
+        assert _span_of(exc) == span
+        assert body[span[1]] == "#"
+    with pytest.raises(error, match=match) as exc:
+        parse_corpus("AAA-1\n\n" + body)
+    assert _span_of(exc) == (span[0] + 7, span[1] + 7)
 
 
 def test_parse_any_routes_by_shape():
@@ -625,6 +657,60 @@ def test_parse_corpus_loses_no_block(entries, data):
         blocks.append(lines[0] + "".join(eol() + line for line in lines[1:]))
     text = (eol() * 2).join(blocks)
     assert [s for s, _span in parse_corpus(text)] == [s for s, _c, _m in entries]
+
+
+# a comment's text: anything but a line break, ';' and '#' included
+_COMMENT_TEXT = st.text(
+    st.sampled_from(";#") | st.characters(exclude_characters="".join(_LINE_BREAKS))
+)
+
+
+@st.composite
+def _accepted(draw):
+    """A syllogism and a text that ``parse_any`` reads as it, compact or a
+    block split at ';' and at line breaks, maybe after a comment line."""
+    s = draw(st.sampled_from(list(every_syllogism())))
+    if draw(st.booleans()):
+        text = render_compact(s)
+    else:
+        first, *rest = render_block(s).split("; ")
+        text = first + "".join(draw(st.sampled_from(["; ", *_LINE_BREAKS])) + p for p in rest)
+    if draw(st.booleans()):
+        text = "# note" + draw(st.sampled_from(_LINE_BREAKS)) + text
+    return s, text
+
+
+@given(_accepted(), _COMMENT_TEXT, st.data())
+def test_a_comment_at_the_end_of_any_line_changes_nothing(accepted, comment, data):
+    s, text = accepted
+    assert parse_any(text) == s
+    lines = text.splitlines(keepends=True)
+    k = data.draw(st.integers(0, len(lines) - 1))
+    content = lines[k].splitlines()[0]
+    lines[k] = content + " #" + comment + lines[k][len(content) :]
+    assert parse_any("".join(lines)) == s
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(list(every_syllogism())), st.booleans()), min_size=1, max_size=6
+    ),
+    _COMMENT_TEXT,
+    st.data(),
+)
+def test_a_comment_line_in_any_block_changes_no_syllogism(entries, comment, data):
+    def corpus():
+        eol = data.draw(st.sampled_from(_LINE_BREAKS))
+        return (eol * 2).join(eol.join(lines) for lines in blocks)
+
+    blocks = [
+        [render_compact(s)] if compact else render_block(s).split("; ") for s, compact in entries
+    ]
+    expected = [s for s, _compact in entries]
+    assert [s for s, _span in parse_corpus(corpus())] == expected
+    k = data.draw(st.integers(0, len(blocks) - 1))
+    blocks[k].insert(data.draw(st.integers(0, len(blocks[k]))), "# " + comment)
+    assert [s for s, _span in parse_corpus(corpus())] == expected
 
 
 # --- fuzzing ----------------------------------------------------------------
