@@ -226,7 +226,7 @@ def mutually_excluded(chain: Chain, x: TermId, y: TermId) -> bool:
 # union of those models satisfies them all (the models of a universal are
 # closed under union; a particular true in a model stays true in a larger).
 
-MAX_COUNT_TERMS = 6  # a count 6 process takes about 0.9 s, n = 7 about 13 s (2-vCPU x86-64, Python 3.11)
+MAX_COUNT_TERMS = 6  # a count 6 process takes about 0.5 s, n = 7 about 4.6 s in process (2-vCPU x86-64, Python 3.11)
 
 
 def count_valid_nterm(n: int, with_assumptions: bool = True) -> int:

@@ -283,6 +283,56 @@ def test_a_closed_output_pipe_ends_the_run_quietly():
     assert close_after_first_line(["tables", "--format", "json"], cli_env()) == (b"[\n", 141, b"")
 
 
+# The console script's entry, on the arguments after -c, in a process that
+# has registered an atexit hook.  A hook runs on the interpreter's normal
+# exit and not on the hard exit that ends run().
+RUN_WITH_ATEXIT_HOOK = """\
+import atexit, sys
+atexit.register(sys.stderr.write, "atexit hook ran\\n")
+from syllogist.cli import run
+run()
+"""
+
+
+def run_in_child(argv, unbuffered: bool, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Call ``cli.run()`` in a child process: it ends the process that calls it."""
+    return subprocess.run(
+        [sys.executable, "-c", RUN_WITH_ATEXIT_HOOK, *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=cli_env(unbuffered),
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_run_flushes_its_output_then_skips_the_teardown(capsys, unbuffered):
+    # the json table is about 141 KB, more than stdout's buffer holds
+    _, out, _ = run(capsys, "tables", "--format", "json")
+    done = run_in_child(["tables", "--format", "json"], unbuffered)
+    assert (done.returncode, done.stdout, done.stderr) == (0, out.encode(), b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_run_exits_2_with_the_error_on_stderr(unbuffered):
+    done = run_in_child(["check", "AXA-1"], unbuffered)
+    err = b"error: mood letters are A, E, I or O, got 'X' (chars 1..2)\n"
+    assert (done.returncode, done.stdout, done.stderr) == (2, b"", err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_run_leaves_a_failed_flush_to_the_interpreters_exit():
+    # tables' text fits stdout's buffer, so main's flush is the first write to
+    # meet the full device and what it could not write is still buffered when
+    # run() flushes; the interpreter's exit flushes once more, reports that
+    # and exits 120, as it does for any command that exits normally
+    with open("/dev/full", "wb") as full:
+        done = run_in_child(["tables"], False, stdout=full)
+    assert done.returncode == 120
+    assert done.stderr.startswith(b"error: [Errno 28] No space left on device\n")
+    assert b"Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_tables_exit_1_on_a_disagreement(capsys, monkeypatch, fmt):
     oracle = catalog.semantic_verdict
@@ -698,8 +748,8 @@ def test_corpus_json_encodes_each_distinct_entry_once(tmp_path, capsys, monkeypa
     code, out, _ = run(capsys, "trace", "--format", "json", "--corpus", str(corpus))
     assert code == 1
     assert out.count('"input"') == 8
-    # an entry is laid out by hand with a null trace, once per distinct input,
-    # and json.dumps encodes only each distinct trace, once on its own
+    # json's encoder lays out an entry with a null trace, once per distinct
+    # input, and json.dumps encodes only each distinct trace, once on its own
     assert len(entries) == len(set(entries)) == 4
     assert len([obj for obj in calls if "initial" in obj]) == 4
     assert len(calls) == 4
