@@ -213,7 +213,7 @@ def mutually_excluded(chain: Chain, x: TermId, y: TermId) -> bool:
 
 # ---------------------------------------------------------------------------
 # Counting valid n-term syllogisms (asserted in the tests up to n = 6; CI
-# also checks `syllogist count 5`)
+# also checks the lines of `syllogist count 4`, `count 5` and `count 6`)
 
 # An n-term syllogism here is a linear arrangement: n - 1 premisses, the
 # i-th relating T_i and T_(i+1) in either subject/predicate order, with

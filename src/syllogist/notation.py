@@ -26,7 +26,9 @@ A line ends at any break that ``str.splitlines`` recognises, so comments,
 block segments and corpus blocks all end at the same places.
 
 Every parse error carries a span into the input, in character offsets
-(indices into the ``str``, not into its encoded bytes).
+(indices into the ``str``, not into its encoded bytes).  A private parser's
+spans point into the text it was given; a corpus moves a block's span into
+the file once, as a block moves a segment's span into the block.
 """
 
 from __future__ import annotations
@@ -136,10 +138,10 @@ def parse_compact(text: str) -> Syllogism:
             "expected MOOD-FIGURE notation such as 'EIO-2' or 'AAI-3 +M'",
             SourceSpan(0, len(text)),
         )
-    return _syllogism(_compact(m, 0))
+    return _syllogism(_compact(m))
 
 
-def _compact(m: re.Match, offset: int) -> _Key:
+def _compact(m: re.Match) -> _Key:
     """The fields of a ``_COMPACT_RE`` match, its letters and digits checked."""
     kinds = []
     for k, letter in enumerate(m[1]):
@@ -147,14 +149,14 @@ def _compact(m: re.Match, offset: int) -> _Key:
         if kind is None:
             raise BadMoodLetter(
                 f"mood letters are A, E, I or O, got {letter!r}",
-                SourceSpan(offset + m.start(1) + k, offset + m.start(1) + k + 1),
+                SourceSpan(m.start(1) + k, m.start(1) + k + 1),
             )
         kinds.append(kind)
     figure = _FIGURE_OF_DIGIT.get(m[2])
     if figure is None:
         raise BadFigure(
             f"figures are 1 to 4, got {m[2]!r}",
-            SourceSpan(offset + m.start(2), offset + m.end(2)),
+            SourceSpan(*m.span(2)),
         )
     assumption = Assumption.NONE
     if m[3] is not None:
@@ -162,7 +164,7 @@ def _compact(m: re.Match, offset: int) -> _Key:
         if assumption is None:
             raise NotationError(
                 f"the assumption names one of the terms S, M or P, got {m[3]!r}",
-                SourceSpan(offset + m.start(3), offset + m.end(3)),
+                SourceSpan(*m.span(3)),
             )
     return (*kinds, figure, assumption)
 
@@ -171,7 +173,7 @@ def render_compact(s: Syllogism) -> str:
     return str(s)
 
 
-def _term_token(m: re.Match, group: int, offset: int) -> str:
+def _term_token(m: re.Match, group: int) -> str:
     word = m[group]
     if not _TERM_RE.match(word):
         message = f"term tokens start with a letter and use letters, digits or '_', got {word!r}"
@@ -179,10 +181,10 @@ def _term_token(m: re.Match, group: int, offset: int) -> str:
         message = f"{word!r} is a reserved word, not a term"
     else:
         return word
-    raise NotationError(message, SourceSpan(offset + m.start(group), offset + m.end(group)))
+    raise NotationError(message, SourceSpan(*m.span(group)))
 
 
-def _proposition(text: str, offset: int) -> tuple[PropKind, str, str]:
+def _proposition(text: str) -> tuple[PropKind, str, str]:
     """Kind, subject and predicate of one proposition template, terms checked."""
     m = _PROPOSITION_RE.match(text)
     kind = None
@@ -194,18 +196,18 @@ def _proposition(text: str, offset: int) -> tuple[PropKind, str, str]:
             kind = PropKind.O
     if kind is None:
         # from the first word to the end of the last, or all of a blank text
-        span = SourceSpan(offset, offset + len(text))
+        span = SourceSpan(0, len(text))
         if text.strip():
-            span = SourceSpan(offset + len(text) - len(text.lstrip()), offset + len(text.rstrip()))
+            span = SourceSpan(len(text) - len(text.lstrip()), len(text.rstrip()))
         raise NotationError(
             "expected 'All X is Y', 'No X is Y', 'Some X is Y' or 'Some X is not Y'", span
         )
-    return kind, _term_token(m, 2, offset), _term_token(m, 4 if m[5] is None else 5, offset)
+    return kind, _term_token(m, 2), _term_token(m, 4 if m[5] is None else 5)
 
 
 def parse_proposition(text: str) -> Proposition:
     """Parse one of the four proposition templates; '#' comments are ignored."""
-    return Proposition(*_proposition(_blank_comments(text), 0))
+    return Proposition(*_proposition(_blank_comments(text)))
 
 
 _TEMPLATES = {
@@ -220,13 +222,13 @@ def render_proposition(p: Proposition) -> str:
     return _TEMPLATES[p.kind].format(p.subject, p.predicate)
 
 
-def _in_segment(text: str, offset: int, k: int, start: int, end: int) -> SourceSpan:
+def _in_segment(text: str, k: int, start: int, end: int) -> SourceSpan:
     """The span ``start..end`` inside the ``k``-th segment of the block
-    ``text``, as offsets into the input.  Only an error needs a segment's
-    offset, so ``_block`` splits with ``_SEGMENT_RE.findall`` and this finds
-    the same segments again with ``finditer``."""
-    starts = [m.start() for m in _SEGMENT_RE.finditer(text) if m[0].strip()]
-    return SourceSpan(offset + starts[k] + start, offset + starts[k] + end)
+    ``text``, moved into the block.  Only an error needs a segment's offset,
+    so ``_block`` splits with ``_SEGMENT_RE.findall`` and this finds the
+    same segments again with ``finditer``."""
+    at = [m.start() for m in _SEGMENT_RE.finditer(text) if m[0].strip()][k]
+    return SourceSpan(at + start, at + end)
 
 
 def parse_syllogism_block(text: str) -> Syllogism:
@@ -237,10 +239,10 @@ def parse_syllogism_block(text: str) -> Syllogism:
     and the first premiss must carry the conclusion's predicate, the
     second its subject.  '#' comments are ignored.
     """
-    return _syllogism(_block(_blank_comments(text), 0, {}))
+    return _syllogism(_block(_blank_comments(text), {}))
 
 
-def _block(text: str, offset: int, propositions: dict[str, tuple[PropKind, str, str]]) -> _Key:
+def _block(text: str, propositions: dict[str, tuple[PropKind, str, str]]) -> _Key:
     """The fields of a block whose comments are blanked, each segment looked
     up in ``propositions`` before it is parsed, and kept there once it parses."""
     # split on ';' and line breaks, blank segments dropped.  A parse needs
@@ -256,7 +258,7 @@ def _block(text: str, offset: int, propositions: dict[str, tuple[PropKind, str, 
     if len(segments) != 3:
         raise NotASyllogism(
             f"a syllogism block holds exactly three propositions, found {len(segments)}",
-            SourceSpan(offset, offset + len(text)),
+            SourceSpan(0, len(text)),
         )
     # parsed in order, so the first bad proposition's error wins; a parse
     # that succeeds depends on the segment's text alone, so a repeated text
@@ -266,9 +268,9 @@ def _block(text: str, offset: int, propositions: dict[str, tuple[PropKind, str, 
         p = propositions.get(t)
         if p is None:
             try:
-                p = propositions[t] = _proposition(t, 0)
+                p = propositions[t] = _proposition(t)
             except NotationError as err:
-                err.span = _in_segment(text, offset, k, err.span.start, err.span.end)
+                err.span = _in_segment(text, k, err.span.start, err.span.end)
                 raise
         parsed.append(p)
     (k1, s1, p1), (k2, s2, p2), (k3, subject, predicate) = parsed
@@ -276,24 +278,24 @@ def _block(text: str, offset: int, propositions: dict[str, tuple[PropKind, str, 
     if subject == predicate:
         raise AmbiguousTerms(
             "the conclusion's subject and predicate coincide, so the term roles collapse",
-            _in_segment(text, offset, 2, 0, len(segments[2])),
+            _in_segment(text, 2, 0, len(segments[2])),
         )
     terms = {subject, predicate, s1, p1, s2, p2}
     if len(terms) != 3:
         raise NotASyllogism(
             f"a syllogism involves exactly three terms, found {len(terms)}",
-            SourceSpan(offset, offset + len(text)),
+            SourceSpan(0, len(text)),
         )
     (middle,) = terms - {subject, predicate}
     if {s1, p1} != {middle, predicate}:
         raise NotASyllogism(
             "the first premiss must relate the middle term and the conclusion's predicate",
-            _in_segment(text, offset, 0, 0, len(segments[0])),
+            _in_segment(text, 0, 0, len(segments[0])),
         )
     if {s2, p2} != {middle, subject}:
         raise NotASyllogism(
             "the second premiss must relate the middle term and the conclusion's subject",
-            _in_segment(text, offset, 1, 0, len(segments[1])),
+            _in_segment(text, 1, 0, len(segments[1])),
         )
 
     role = {subject: MINOR, middle: MIDDLE, predicate: MAJOR}
@@ -305,7 +307,7 @@ def _block(text: str, offset: int, propositions: dict[str, tuple[PropKind, str, 
             # the assumption is the segment after the three propositions
             raise NotASyllogism(
                 f"the assumption must name one of the three terms, got {assumed[1]!r}",
-                _in_segment(text, offset, 3, assumed.start(1), assumed.end(1)),
+                _in_segment(text, 3, assumed.start(1), assumed.end(1)),
             )
         assumption = _ASSUMPTION_OF_NAME[role[assumed[1]]]
 
@@ -324,14 +326,14 @@ def render_block(s: Syllogism) -> str:
 
 def parse_any(text: str) -> Syllogism:
     """Parse either notation, routed on the input's shape; '#' comments are ignored."""
-    return _syllogism(_any(_blank_comments(text), 0, {}))
+    return _syllogism(_any(_blank_comments(text), {}))
 
 
-def _any(text: str, offset: int, propositions: dict[str, tuple[PropKind, str, str]]) -> _Key:
+def _any(text: str, propositions: dict[str, tuple[PropKind, str, str]]) -> _Key:
     """The fields of either notation, from a text whose comments are
     blanked, a block's propositions looked up in ``propositions`` first."""
     m = _COMPACT_RE.match(text)
-    return _block(text, offset, propositions) if m is None else _compact(m, offset)
+    return _block(text, propositions) if m is None else _compact(m)
 
 
 def parse_corpus(text: str) -> list[tuple[Syllogism, SourceSpan]]:
@@ -348,9 +350,8 @@ def parse_corpus(text: str) -> list[tuple[Syllogism, SourceSpan]]:
 def _parse_corpus(text: str) -> list[tuple[Syllogism, int, int]]:
     """``parse_corpus``, each block's span given as its start and end offsets."""
     results = []
-    # a parse does not depend on the offset, and only blocks and propositions
-    # that parse are kept, so a repeated text reuses its result and the first
-    # bad block still raises at its own span
+    # a parse depends on its text alone, and only blocks and propositions
+    # that parse are kept, so a repeated text reuses its result
     parsed: dict[str, Syllogism | None] = {}
     propositions: dict[str, tuple[PropKind, str, str]] = {}
     syllogisms: dict[_Key, Syllogism] = {}
@@ -363,7 +364,11 @@ def _parse_corpus(text: str) -> list[tuple[Syllogism, int, int]]:
             if s is None and block not in parsed:
                 # a block of comments alone blanks to whitespace: kept as None
                 if not (bare := _blank_comments(block)).isspace():
-                    key = _any(bare, start, propositions)
+                    try:
+                        key = _any(bare, propositions)
+                    except NotationError as err:
+                        err.span = SourceSpan(start + err.span.start, start + err.span.end)
+                        raise
                     s = syllogisms.get(key) or syllogisms.setdefault(key, _syllogism(key))
                 parsed[block] = s
             if s is not None:

@@ -409,9 +409,9 @@ def test_parse_corpus_parses_each_distinct_block_once(monkeypatch):
 
     parse_block_or_compact = notation._any
 
-    def counting_any(block, offset, propositions):
+    def counting_any(block, propositions):
         calls.append(block)
-        return parse_block_or_compact(block, offset, propositions)
+        return parse_block_or_compact(block, propositions)
 
     monkeypatch.setattr(notation, "_any", counting_any)
     parsed = parse_corpus(text)
@@ -497,7 +497,7 @@ def test_a_compact_text_is_matched_once_and_fields_build_nothing(monkeypatch):
     for s in everything:
         fields = (s.mood.first, s.mood.second, s.mood.conclusion, s.figure, s.assumption)
         for text in (render_compact(s), render_block(s)):
-            assert notation._any(text, 0, {}) == fields
+            assert notation._any(text, {}) == fields
     assert builds == []
 
 
@@ -519,9 +519,9 @@ def test_parse_corpus_parses_each_distinct_proposition_text_once(monkeypatch):
     calls = []
     parse_one = notation._proposition
 
-    def counting_proposition(segment, offset):
+    def counting_proposition(segment):
         calls.append(segment)
-        return parse_one(segment, offset)
+        return parse_one(segment)
 
     monkeypatch.setattr(notation, "_proposition", counting_proposition)
     parsed = parse_corpus(text)
@@ -722,6 +722,14 @@ _FUZZ_TOKENS = [
 ]
 
 
+def _corpus_outcome(text, moved_by=0):
+    """Each block of ``parse_corpus(text)``, or its error, the spans moved."""
+    try:
+        return [(s, span.start + moved_by, span.end + moved_by) for s, span in parse_corpus(text)]
+    except NotationError as exc:
+        return type(exc), str(exc), exc.span.start + moved_by, exc.span.end + moved_by
+
+
 @given(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=30).map("".join))
 def test_parsers_raise_only_notation_errors_with_spans_inside_the_input(text):
     for parse in (parse_any, parse_corpus):
@@ -730,9 +738,18 @@ def test_parsers_raise_only_notation_errors_with_spans_inside_the_input(text):
         except NotationError as exc:
             assert exc.span is not None
             assert 0 <= exc.span.start <= exc.span.end <= len(text)
+    # after a first block, the text parses as alone, every span moved by that block
+    expected = _corpus_outcome(text, moved_by=7)
+    if isinstance(expected, list):
+        expected = [(syl("AAA-1"), 0, 6), *expected]
+    assert _corpus_outcome("AAA-1\n\n" + text) == expected
 
 
 @pytest.mark.parametrize("parse", [parse_any, parse_compact, parse_syllogism_block, parse_proposition])
 def test_public_parsers_take_only_their_text(parse):
     # spans count from the start of the text, so no caller can shift one out of it
     assert list(inspect.signature(parse).parameters) == ["text"]
+    # nor does any private parser take one: a span moves only where a text sits in another
+    functions = [f for _, f in inspect.getmembers(notation, inspect.isfunction)]
+    takes_offset = [f.__name__ for f in functions if "offset" in inspect.signature(f).parameters]
+    assert takes_offset == []
