@@ -17,29 +17,28 @@ __version__ = "0.1.0"
 # each public name, and the module it loads on first use
 _LAZY = {
     **dict.fromkeys((
-        "BULLET", "Arrow", "Chain", "ChainError", "JunctionMismatch", "NoSuchOccurrence",
-        "PropKind", "Proposition", "TermId", "chain_along", "chain_from_text", "concat",
-        "diagram", "is_bullet", "is_term", "splice_existence",
+        "BULLET", "Arrow", "Chain", "PropKind", "Proposition", "TermId", "chain_along",
+        "chain_from_text", "concat", "diagram", "is_bullet", "is_term", "splice_existence",
     ), "chains"),
     **dict.fromkeys((
-        "MAJOR", "MIDDLE", "MINOR", "Assumption", "Figure", "Mood", "NotReducible",
-        "ReductionStep", "Syllogism", "Trace", "Validity", "Verdict",
-        "assumption_proposition", "conclusion_of", "decide", "match_conclusion",
-        "normalize", "premiss_chain", "premisses_of", "reduce_at", "reducible_positions",
+        "MAJOR", "MIDDLE", "MINOR", "Assumption", "Figure", "Mood", "ReductionStep",
+        "Syllogism", "Trace", "Validity", "Verdict", "assumption_proposition", "conclusion_of",
+        "decide", "match_conclusion", "normalize", "premiss_chain", "premisses_of", "reduce_at",
+        "reducible_positions",
     ), "inference"),
     **dict.fromkeys((
-        "AmbiguousTerms", "BadFigure", "BadMoodLetter", "NotASyllogism", "NotationError",
-        "SourceSpan", "parse_any", "parse_compact", "parse_corpus", "parse_proposition",
-        "parse_syllogism_block", "render_block", "render_compact", "render_proposition",
+        "BadMoodLetter", "NotASyllogism", "NotationError", "SourceSpan", "parse_any",
+        "parse_compact", "parse_corpus", "parse_proposition", "parse_syllogism_block",
+        "render_block", "render_compact", "render_proposition",
     ), "notation"),
     **dict.fromkeys((
-        "MAX_TERMS", "MAX_VENN_TERMS", "ModelSpace", "RegionModel", "TooManyTerms",
-        "UnknownTerm", "VennSpace", "eval_proposition", "semantic_verdict", "space_for",
+        "MAX_TERMS", "MAX_VENN_TERMS", "ModelSpace", "RegionModel", "VennSpace",
+        "eval_proposition", "semantic_verdict", "space_for",
     ), "regions"),
     **dict.fromkeys((
-        "MAX_COUNT_TERMS", "LawResult", "TableRow", "TermNotInChain", "UnsupportedN",
-        "all_moods", "all_syllogisms", "check_rules", "count_valid_nterm", "enumerate_all",
-        "mutually_excluded", "opposition_laws",
+        "MAX_COUNT_TERMS", "LawResult", "TableRow", "all_moods", "all_syllogisms",
+        "check_rules", "count_valid_nterm", "enumerate_all", "mutually_excluded",
+        "opposition_laws",
     ), "catalog"),
 }
 

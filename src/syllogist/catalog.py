@@ -36,14 +36,6 @@ from .inference import (
 from .regions import VennSpace, semantic_verdict
 
 
-class TermNotInChain(ValueError):
-    """The queried term does not occur in the chain."""
-
-
-class UnsupportedN(ValueError):
-    """n-term counting is asked for n outside 3 to ``MAX_COUNT_TERMS``."""
-
-
 # ---------------------------------------------------------------------------
 # Full enumeration: calculus versus oracle
 
@@ -198,10 +190,10 @@ def mutually_excluded(chain: Chain, x: TermId, y: TermId) -> bool:
     _check_term(y)
     xs = chain.occurrences(x)
     if not xs:
-        raise TermNotInChain(f"term {x!r} does not occur in {chain}")
+        raise ValueError(f"term {x!r} does not occur in {chain}")
     stretches = {(min(i, j), max(i, j)) for i in xs for j in chain.occurrences(y) if i != j}
     if not stretches:
-        raise TermNotInChain(f"term {y!r} has no occurrence in {chain} apart from {x!r}")
+        raise ValueError(f"term {y!r} has no occurrence in {chain} apart from {x!r}")
     return any(
         match_conclusion(
             normalize(Chain(chain.nodes[lo : hi + 1], chain.arrows[lo:hi])).normal_form,
@@ -236,7 +228,7 @@ def count_valid_nterm(n: int, with_assumptions: bool = True) -> int:
     valid candidates.
     """
     if not isinstance(n, int) or n not in range(3, MAX_COUNT_TERMS + 1):
-        raise UnsupportedN(f"n-term counting supports n from 3 to {MAX_COUNT_TERMS}, got {n!r}")
+        raise ValueError(f"n-term counting supports n from 3 to {MAX_COUNT_TERMS}, got {n!r}")
     terms = tuple(f"T{i}" for i in range(1, n + 1))
     space = VennSpace(terms)
     # slot i holds the 8 premisses over (T_i, T_(i+1)): each kind, either way round

@@ -39,18 +39,6 @@ from enum import Enum
 TermId = str
 
 
-class ChainError(ValueError):
-    """Malformed chain or illegal chain operation."""
-
-
-class JunctionMismatch(ChainError):
-    """Concatenation endpoints do not name the same term."""
-
-
-class NoSuchOccurrence(ChainError):
-    """The requested occurrence of a term is absent from the chain."""
-
-
 class _Value:
     """Base of the package's immutable value classes.
 
@@ -157,10 +145,10 @@ def is_term(node: object) -> bool:
 
 def _check_term(name: object) -> None:
     if not isinstance(name, str) or not name:
-        raise ChainError(f"term identifiers are non-empty strings, got {name!r}")
+        raise ValueError(f"term identifiers are non-empty strings, got {name!r}")
     if name.split() != [name] or name in _TOKENS:
         # must survive the whitespace-separated text rendering
-        raise ChainError(f"term identifier {name!r} clashes with chain notation")
+        raise ValueError(f"term identifier {name!r} clashes with chain notation")
 
 
 class Arrow(Enum):
@@ -224,7 +212,7 @@ class Proposition(_Value):
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, PropKind):
-            raise ChainError(f"a proposition's kind is a PropKind, got {self.kind!r}")
+            raise ValueError(f"a proposition's kind is a PropKind, got {self.kind!r}")
         _check_term(self.subject)
         _check_term(self.predicate)
 
@@ -247,16 +235,16 @@ class Chain(_Value):
     def __post_init__(self) -> None:
         nodes, arrows = self.nodes, self.arrows
         if not nodes:
-            raise ChainError("a chain has at least one node")
+            raise ValueError("a chain has at least one node")
         if len(arrows) != len(nodes) - 1:
-            raise ChainError(f"{len(nodes)} nodes need {len(nodes) - 1} arrows, got {len(arrows)}")
+            raise ValueError(f"{len(nodes)} nodes need {len(nodes) - 1} arrows, got {len(arrows)}")
         for node in nodes:
             if node is not BULLET:
                 _check_term(node)
         for arrow in arrows:
             # ``Arrow`` has members, so it has no subclasses
             if arrow.__class__ is not Arrow:
-                raise ChainError(f"not an arrow: {arrow!r}")
+                raise ValueError(f"not an arrow: {arrow!r}")
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -314,9 +302,9 @@ def concat(left: Chain, right: Chain) -> Chain:
     be the same term; it appears once in the result.  Bullet counts add.
     """
     if is_bullet(left.right) or is_bullet(right.left):
-        raise JunctionMismatch("chains join on a shared term, not on a bullet")
+        raise ValueError("chains join on a shared term, not on a bullet")
     if left.right != right.left:
-        raise JunctionMismatch(
+        raise ValueError(
             f"cannot join {left.right!r} on the left to {right.left!r} on the right"
         )
     return Chain(left.nodes + right.nodes[1:], left.arrows + right.arrows)
@@ -329,7 +317,7 @@ def _oriented(p: Proposition, end: TermId) -> Chain:
         return d
     if p.predicate == end:
         return d.dual()
-    raise JunctionMismatch(f"{p} does not continue a chain that ends at {end!r}")
+    raise ValueError(f"{p} does not continue a chain that ends at {end!r}")
 
 
 def chain_along(start: TermId, premisses: Iterable[Proposition]) -> Chain:
@@ -337,7 +325,7 @@ def chain_along(start: TermId, premisses: Iterable[Proposition]) -> Chain:
 
     Each premiss continues the chain at its right end: it joins as written
     when its subject is that end and as its dual otherwise, so a premiss
-    that does not touch the right end raises ``JunctionMismatch``.
+    that does not touch the right end raises ``ValueError``.
     """
     _check_term(start)
     premisses = iter(premisses)
@@ -360,7 +348,7 @@ def splice_existence(chain: Chain, term: TermId, occurrence: int = 0) -> Chain:
     spots = chain.occurrences(term)
     # an int proper: a bool or a float would index the list or break the comparison
     if type(occurrence) is not int or not 0 <= occurrence < len(spots):
-        raise NoSuchOccurrence(f"occurrence {occurrence!r} of term {term!r} not found in {chain}")
+        raise ValueError(f"occurrence {occurrence!r} of term {term!r} not found in {chain}")
     i = spots[occurrence]
     nodes = chain.nodes[:i] + (chain.nodes[i], BULLET) + chain.nodes[i:]
     arrows = chain.arrows[:i] + (Arrow.LEFT, Arrow.RIGHT) + chain.arrows[i:]
@@ -375,10 +363,10 @@ def chain_from_text(text: str) -> Chain:
     """
     tokens = text.split()
     if not tokens or len(tokens) % 2 == 0:
-        raise ChainError(f"not a chain rendering: {text!r}")
+        raise ValueError(f"not a chain rendering: {text!r}")
     items = [_TOKENS.get(token, token) for token in tokens]
     for k, item in enumerate(items):
         if isinstance(item, Arrow) is not bool(k % 2):  # arrows at odd tokens, nodes at even
             expected = "an arrow" if k % 2 else "a node"
-            raise ChainError(f"expected {expected} at token {k}, got {tokens[k]!r}")
+            raise ValueError(f"expected {expected} at token {k}, got {tokens[k]!r}")
     return Chain(items[::2], items[1::2])

@@ -16,8 +16,9 @@ not run.  Code that embeds the command line calls ``main``, which
 returns the exit status.
 
 Errors leave through ``main``, the one place that prints ``error:``.  In
-this package a ``ValueError`` is an input error: a ``NotationError``, a
-``ChainError``, an ``UnsupportedN`` or a corpus that is not UTF-8 (a
+this package a ``ValueError`` is an input error: a ``NotationError``,
+which carries a span, a plain ``ValueError`` for a bad chain, term or
+``count`` argument, or a corpus that is not UTF-8 (a
 ``UnicodeDecodeError``).  No command catches one; ``main`` prints it with
 the error's span in characters when it has one, as it prints an
 ``OSError`` such as a missing corpus file, and exits 2.

@@ -53,10 +53,6 @@ MIDDLE = "M"  # occurs in both premisses, never in the conclusion
 MAJOR = "P"  # predicate of the conclusion, occurs in the first premiss
 
 
-class NotReducible(ValueError):
-    """The requested position is not a deletable term node."""
-
-
 class Figure(IntEnum):
     """Placement of the three terms across the premisses."""
 
@@ -261,8 +257,9 @@ def reducible_positions(chain: Chain) -> list[int]:
 
 def reduce_at(chain: Chain, position: int) -> Chain:
     """Delete the term node at ``position``, merging its two arrows."""
-    if not _reducible(chain, position):
-        raise NotReducible(f"node {position} of {chain} is not reducible")
+    # an int proper: a bool would index the nodes, a float or a str break the comparison
+    if type(position) is not int or not _reducible(chain, position):
+        raise ValueError(f"node {position!r} of {chain} is not reducible")
     nodes = chain.nodes[:position] + chain.nodes[position + 1 :]
     arrows = chain.arrows[:position] + chain.arrows[position + 1 :]
     return Chain(nodes, arrows)

@@ -78,16 +78,8 @@ class BadMoodLetter(NotationError):
     """A mood letter outside A, E, I, O."""
 
 
-class BadFigure(NotationError):
-    """A figure outside 1..4."""
-
-
 class NotASyllogism(NotationError):
     """Three propositions that do not form a syllogism."""
-
-
-class AmbiguousTerms(NotationError):
-    """Term roles cannot be told apart."""
 
 
 _KEYWORDS = frozenset({"all", "no", "some", "is", "not", "assuming"})
@@ -154,7 +146,7 @@ def _compact(m: re.Match) -> _Key:
         kinds.append(kind)
     figure = _FIGURE_OF_DIGIT.get(m[2])
     if figure is None:
-        raise BadFigure(
+        raise NotationError(
             f"figures are 1 to 4, got {m[2]!r}",
             SourceSpan(*m.span(2)),
         )
@@ -276,7 +268,7 @@ def _block(text: str, propositions: dict[str, tuple[PropKind, str, str]]) -> _Ke
     (k1, s1, p1), (k2, s2, p2), (k3, subject, predicate) = parsed
 
     if subject == predicate:
-        raise AmbiguousTerms(
+        raise NotationError(
             "the conclusion's subject and predicate coincide, so the term roles collapse",
             _in_segment(text, 2, 0, len(segments[2])),
         )

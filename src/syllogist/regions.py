@@ -42,18 +42,10 @@ MAX_TERMS = 4  # 2^(2^4) = 65 536 models; beyond that enumeration stops being a 
 MAX_VENN_TERMS = 16
 
 
-class UnknownTerm(ValueError):
-    """A proposition mentions a term outside the model's term list."""
-
-
-class TooManyTerms(ValueError):
-    """More terms than an oracle's cap allows."""
-
-
 def _check_terms(terms: tuple[TermId, ...], cap: int) -> None:
     """The one check of a term list: its length, then each name, then duplicates."""
     if len(terms) > cap:
-        raise TooManyTerms(f"at most {cap} terms, got {len(terms)}")
+        raise ValueError(f"at most {cap} terms, got {len(terms)}")
     for name in terms:
         _check_term(name)  # before the duplicate check hashes it
     if len(set(terms)) != len(terms):
@@ -64,7 +56,7 @@ def _term_index(terms: tuple[TermId, ...], name: TermId) -> int:
     try:
         return terms.index(name)
     except ValueError:
-        raise UnknownTerm(f"term {name!r} is not among {terms!r}") from None
+        raise ValueError(f"term {name!r} is not among {terms!r}") from None
 
 
 def region_mask(p: Proposition, terms: tuple[TermId, ...]) -> int:

@@ -12,7 +12,6 @@ from syllogist import (
     Chain,
     Figure,
     Mood,
-    NotReducible,
     PropKind,
     Proposition,
     Syllogism,
@@ -116,8 +115,21 @@ def test_reduce_rejects_bad_positions():
     for c, inside in ((ch("S -> * <- M -> P"), (1, 2)), (ch("S -> A -> B -> P"), ())):
         n = len(c)
         for i in (0, *inside, -1, -n, n - 1, n, n + 3, -2, -3):
-            with pytest.raises(NotReducible):
+            with pytest.raises(ValueError) as raised:
                 reduce_at(c, i)
+            assert type(raised.value) is ValueError
+            assert str(raised.value) == f"node {i} of {c} is not reducible"
+
+
+@pytest.mark.parametrize("position", [True, 1.0, "1", None])
+def test_reduce_takes_an_int_proper(position):
+    # True would index node 1 and reduce "S -> M -> P" to "S -> P"; the
+    # others would raise TypeError from the comparison or the indexing
+    c = ch("S -> M -> P")
+    with pytest.raises(ValueError) as raised:
+        reduce_at(c, position)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == f"node {position!r} of S -> M -> P is not reducible"
 
 
 # --- normalization ----------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from syllogist import (
     Assumption,
-    ChainError,
     Figure,
     Mood,
     MAX_COUNT_TERMS,
@@ -18,8 +17,6 @@ from syllogist import (
     Proposition,
     RegionModel,
     Syllogism,
-    TooManyTerms,
-    UnknownTerm,
     Validity,
     VennSpace,
     count_valid_nterm,
@@ -80,7 +77,7 @@ def test_model_space_sizes():
 
 
 def test_model_space_caps_terms():
-    with pytest.raises(TooManyTerms, match=f"at most {MAX_TERMS} terms, got 5"):
+    with pytest.raises(ValueError, match=f"^at most {MAX_TERMS} terms, got 5$"):
         ModelSpace(("A", "B", "C", "D", "E"))
 
 
@@ -107,7 +104,7 @@ def test_venn_space_caps_terms():
     premisses = [prop("A", "T0", "T1"), prop("A", "T1", terms[-2])]
     assert venn.entails(premisses, prop("A", "T0", terms[-2]))
     assert not venn.entails(premisses, prop("I", "T0", terms[-2]))
-    with pytest.raises(TooManyTerms, match=f"at most {MAX_VENN_TERMS} terms, got {len(terms)}"):
+    with pytest.raises(ValueError, match=f"^at most {MAX_VENN_TERMS} terms, got {len(terms)}$"):
         VennSpace(terms)
 
 
@@ -125,9 +122,9 @@ def test_region_mask_is_the_atoms_of_the_region(k):
 
 
 def test_unknown_term():
-    with pytest.raises(UnknownTerm):
+    with pytest.raises(ValueError, match=r"^term 'Z' is not among \('A', 'B'\)$"):
         eval_proposition(prop("A", "A", "Z"), RegionModel(AB, 0))
-    with pytest.raises(UnknownTerm):
+    with pytest.raises(ValueError, match=r"^term 'Q' is not among \('A', 'B'\)$"):
         space_for(AB).entails([prop("A", "Q", "B")], prop("A", "A", "B"))
 
 
@@ -140,19 +137,19 @@ def test_region_model_checks_its_terms_and_mask():
     # the cap comes first: the range check builds a 2^k-bit bound
     terms = tuple(f"T{i}" for i in range(MAX_VENN_TERMS + 1))
     assert RegionModel(terms[:-1], 0).terms == terms[:-1]
-    with pytest.raises(TooManyTerms, match=f"at most {MAX_VENN_TERMS} terms, got {len(terms)}"):
+    with pytest.raises(ValueError, match=f"^at most {MAX_VENN_TERMS} terms, got {len(terms)}$"):
         RegionModel(terms, 0)
     with pytest.raises(ValueError, match="duplicate"):
         RegionModel(("A", "B", "A"), 0)
     # the cap comes before each term, and each term before duplicates,
     # so an unhashable term is reported as a term, not hashed
-    with pytest.raises(TooManyTerms):
+    with pytest.raises(ValueError, match=f"^at most {MAX_VENN_TERMS} terms, got {len(terms)}$"):
         RegionModel(("",) + terms[:-1], 0)
-    with pytest.raises(ChainError, match="non-empty strings, got ''"):
+    with pytest.raises(ValueError, match="^term identifiers are non-empty strings, got ''$"):
         RegionModel(("", ""), 0)
     with pytest.raises(ValueError, match="non-empty strings, got 3"):
         RegionModel(("A", 3), 1)
-    with pytest.raises(ChainError, match=r"non-empty strings, got \['a'\]"):
+    with pytest.raises(ValueError, match=r"^term identifiers are non-empty strings, got \['a'\]$"):
         RegionModel((["a"],), 0)
     for mask in (1.5, "1", None, True):
         with pytest.raises(ValueError, match="an inhabitation mask is an int"):
@@ -166,7 +163,7 @@ def test_a_venn_space_checks_each_term():
         VennSpace(("S", "", "*"))
     with pytest.raises(ValueError, match="'\\*' clashes with chain notation"):
         VennSpace(("S", "*"))
-    with pytest.raises(ChainError, match=r"non-empty strings, got \['a'\]"):
+    with pytest.raises(ValueError, match=r"^term identifiers are non-empty strings, got \['a'\]$"):
         VennSpace((["a"],))
 
 
@@ -331,9 +328,9 @@ def test_equal_propositions_get_equal_answers():
 def test_venn_space_checks_its_terms():
     with pytest.raises(ValueError, match="duplicate"):
         VennSpace(("A", "B", "A"))
-    with pytest.raises(UnknownTerm):
+    with pytest.raises(ValueError, match=r"^term 'Z' is not among \('A', 'B'\)$"):
         VennSpace(AB).entails([prop("A", "A", "B")], prop("A", "A", "Z"))
-    with pytest.raises(UnknownTerm):
+    with pytest.raises(ValueError, match=r"^term 'Q' is not among \('A', 'B'\)$"):
         VennSpace(AB).entails([prop("I", "Q", "Q")], prop("A", "A", "B"))
 
 

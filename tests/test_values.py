@@ -3,7 +3,9 @@
 import copy
 import inspect
 import pickle
+import re
 from enum import Enum
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -289,12 +291,10 @@ def test_keyword_arguments_and_defaults():
 # --- package surface --------------------------------------------------------
 
 EXPORTS = """
-AmbiguousTerms Arrow Assumption BULLET BadFigure BadMoodLetter Chain ChainError
-Figure JunctionMismatch LawResult MAJOR MAX_COUNT_TERMS MAX_TERMS MAX_VENN_TERMS
-MIDDLE MINOR ModelSpace Mood NoSuchOccurrence NotASyllogism NotReducible NotationError
+Arrow Assumption BULLET BadMoodLetter Chain Figure LawResult MAJOR MAX_COUNT_TERMS
+MAX_TERMS MAX_VENN_TERMS MIDDLE MINOR ModelSpace Mood NotASyllogism NotationError
 PropKind Proposition ReductionStep RegionModel SourceSpan Syllogism TableRow
-TermId TermNotInChain TooManyTerms Trace UnknownTerm UnsupportedN Validity
-VennSpace Verdict all_moods all_syllogisms assumption_proposition chain_along
+TermId Trace Validity VennSpace Verdict all_moods all_syllogisms assumption_proposition chain_along
 chain_from_text check_rules concat conclusion_of count_valid_nterm decide
 diagram enumerate_all eval_proposition is_bullet is_term match_conclusion
 mutually_excluded normalize opposition_laws parse_any parse_compact
@@ -323,6 +323,22 @@ def test_star_import_holds_every_public_name():
     assert public <= namespace.keys()
     for name in public:
         assert namespace[name] is getattr(syllogist, name)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_readme_library_example_prints_what_it_says(capsys):
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    example = re.search(r"```python\n(.*?)```", library, re.S)[1]
+    exec(example, {})
+    assert capsys.readouterr().out.splitlines() == [
+        "S <- M -> * <- P",
+        "valid +M",
+        "step 1: delete M at 1: S <- M <- * -> M -> * <- P => S <- * -> M -> * <- P",
+        "step 2: delete M at 2: S <- * -> M -> * <- P => S <- * -> * <- P",
+        "valid +M",
+    ]
 
 
 def test_an_unknown_name_is_an_attribute_error():
